@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
-from . import compiler, energycost, mapper, timesim
+from . import compiler, energycost, isa, mapper, timesim
 from .config import (CONFIGS_DIR, ArchConfig, ConfigError, ModelSpec,
                      apply_overrides, load_config)
 
@@ -264,18 +264,24 @@ def _cmd_verify(args) -> int:
         vs.append(funcsim.bf16(rng.normal(scale=0.5, size=shape)))
     hidden = funcsim.bf16(rng.normal(size=model.d_model))
 
-    img = funcsim.prepare_image(layout, weights)
-    for b in range(model.n_layers):
-        funcsim.load_kv_history(img, layout, b, ks[b], vs[b])
-    img.write_slots(layout.blocks[0].master, layout.sb.hidden, hidden)
-    traces = compiler.compile_token(model, plan, pos, layout=layout)
-    funcsim.run_trace(traces, img, groups=funcsim.tp_groups(plan))
-    got = img.read_slots(layout.blocks[-1].master, layout.sb.hidden,
-                         model.d_model)
+    # funcsim (and numpy) load only here, so main() cannot name SimError
+    try:
+        img = funcsim.prepare_image(layout, weights)
+        for b in range(model.n_layers):
+            funcsim.load_kv_history(img, layout, b, ks[b], vs[b])
+        img.write_slots(layout.blocks[0].master, layout.sb.hidden, hidden)
+        traces = compiler.compile_token(model, plan, pos, layout=layout)
+        funcsim.run_trace(traces, img, groups=funcsim.tp_groups(plan))
+        got = img.read_slots(layout.blocks[-1].master, layout.sb.hidden,
+                             model.d_model)
+    except funcsim.SimError as e:
+        raise CliError(f"functional simulation: {e}") from e
 
     h = hidden.copy()
     for b in range(model.n_layers):
-        perm = layout.blocks[b].placements["down"][0].col_perm
+        # the down projection's column order on the block's own device
+        bl = layout.blocks[b]
+        perm = bl.placements["down"][bl.master].col_perm
         h, _, _ = funcsim.reference_block(model, weights[b], h, ks[b], vs[b],
                                           pos, match_hardware=True,
                                           down_perm=perm)
@@ -451,7 +457,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ConfigError, mapper.MappingError, timesim.TimingError,
+    except (CliError, ConfigError, mapper.MappingError,
+            compiler.CompileError, isa.IsaError, timesim.TimingError,
             energycost.EnergyError, energycost.CostError, OSError,
             json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -16,6 +16,16 @@ Traces are emitted through a sink: ListSink materializes instructions
 for the functional simulator, CountSink keeps instruction/micro-op
 counters and per-channel activity statistics (for timing and energy)
 without materializing anything.
+
+A block lowers as three segments: before_core (RMSNorm, QKV), the
+attention core (RoPE, KV append, per-head attention) and after_core
+(O projection and residual, RMSNorm, FFN). Only the core reads the
+token position. compile_token lowers every block whole into ListSinks.
+block_summaries, the counting path, caches the two position-invariant
+segments per layout and structure class as unfinished CountSinks and
+composes them with the core lowered at each position; that is exact
+because CountSink keeps each channel's first and last DRAM-row bracket
+open until finish().
 """
 
 from __future__ import annotations
@@ -285,6 +295,12 @@ class CountSink:
     Consecutive bank-row instructions on a channel that stay within one
     DRAM row share an activate/precharge bracket; the histogram of
     bracket column counts drives the timing and energy models.
+
+    Each channel's first and last bracket stay open until `finish()`,
+    since an earlier or later stream may continue them. An unfinished
+    sink is therefore an exact summary of a trace segment, and
+    `append` composes such segments as if their instructions had been
+    emitted into one sink in order.
     """
 
     keeps_instructions = False
@@ -295,7 +311,8 @@ class CountSink:
         self.summary = TraceSummary()
         self.instructions = None
         self.annotations: list[tuple[str, int, int]] = []
-        self._open: dict = {}          # ch -> [row, cols]
+        self._open: dict = {}          # ch -> [row, cols] of last bracket
+        self._first: dict = {}         # ch -> [row, cols] of first bracket
 
     def begin_op(self, name: str) -> None:
         self.summary.operators[name] += 1
@@ -330,10 +347,12 @@ class CountSink:
                 st = s.channels.setdefault(ch, ChannelStats())
                 st.col_cmds += width
                 cur = self._open.get(ch)
-                if cur is not None and cur[0] == inst.RO:
+                if cur is None:
+                    self._open[ch] = self._first[ch] = [inst.RO, width]
+                elif cur[0] == inst.RO:
                     cur[1] += width
                 else:
-                    if cur is not None:
+                    if cur is not self._first[ch]:
                         st.bracket_hist[cur[1]] += 1
                     self._open[ch] = [inst.RO, width]
         elif op == "WR_GB":
@@ -351,10 +370,40 @@ class CountSink:
         elif op == "RECV_CXL":
             s.cxl_recv += 1
 
+    def append(self, seg: "CountSink") -> None:
+        """Count the unfinished sink `seg` as if its instructions had
+        been emitted here after this sink's own. Its first bracket on a
+        channel continues this sink's open bracket when both hold the
+        same row, and closes it otherwise. `seg` is left unchanged."""
+        for ch, head in seg._first.items():
+            cur = self._open.get(ch)
+            if cur is None:
+                cur = self._open[ch] = self._first[ch] = list(head)
+            elif cur[0] == head[0]:
+                cur[1] += head[1]
+            else:
+                self._close(ch, cur)
+                cur = self._open[ch] = list(head)
+            last = seg._open[ch]
+            if last is not head:
+                self._close(ch, cur)
+                self._open[ch] = list(last)
+        self.summary.merge(seg.summary)
+
+    def _close(self, ch: int, bracket: list) -> None:
+        # the first bracket stays open: an earlier segment may continue it
+        if bracket is not self._first[ch]:
+            self.summary.channels[ch].bracket_hist[bracket[1]] += 1
+
     def finish(self) -> TraceSummary:
-        for ch, cur in self._open.items():
-            self.summary.channels[ch].bracket_hist[cur[1]] += 1
+        for ch, last in self._open.items():
+            hist = self.summary.channels[ch].bracket_hist
+            first = self._first[ch]
+            if first is not last:
+                hist[first[1]] += 1
+            hist[last[1]] += 1
         self._open.clear()
+        self._first.clear()
         return self.summary
 
 
@@ -389,7 +438,7 @@ class ListSink(CountSink):
 @dataclass
 class DeviceTrace:
     device: int
-    instructions: Optional[list[Instruction]]
+    instructions: list[Instruction]
     annotations: list[tuple[str, int, int]]
     summary: TraceSummary
     routines: dict           # pc -> (kind, params)
@@ -398,8 +447,7 @@ class DeviceTrace:
         d = self.summary.to_dict()
         d["device"] = self.device
         d["n_instructions"] = self.summary.total_instructions
-        if self.instructions is not None:
-            d["annotation_index"] = [list(a) for a in self.annotations]
+        d["annotation_index"] = [list(a) for a in self.annotations]
         return d
 
 
@@ -466,6 +514,10 @@ class Layout:
     sb: SbMap
     blocks: list[BlockLayout]
     zero_rows: dict              # (device, channel) -> sorted row list
+    # structure key -> (before_core, after_core) unfinished CountSinks per
+    # tp role; filled by block_summaries on first use
+    invariant_segments: dict = field(default_factory=dict, repr=False,
+                                     compare=False)
 
 
 class _RowAlloc:
@@ -782,6 +834,20 @@ class BlockLowering:
                 self.me.i("RECV_CXL")
             self.me.i("ACC", n, out, self.sb.rms)
 
+    # -- block segments ----------------------------------------------------
+    # A block is before_core, attention_core, after_core. Only the core
+    # reads the position, so the other two lower identically at every
+    # position of a given layout and structure class.
+
+    def before_core(self) -> None:
+        self.rmsnorm("w_rms1")
+        self.qkv()
+
+    def after_core(self) -> None:
+        self.o_proj()
+        self.rmsnorm("w_rms2")
+        self.ffn()
+
     # -- operators ---------------------------------------------------------
 
     def rmsnorm(self, w_name: str) -> None:
@@ -864,6 +930,12 @@ class BlockLowering:
             em.riscv("rope_combine", dh, x, sb.tmp, params=(dh,))
 
     def attention(self) -> None:
+        self.qkv()
+        self.attention_core()
+        self.o_proj()
+
+    def qkv(self) -> None:
+        """Opens the attention operator: the fused Q/K/V projections."""
         self._begin("attention")
         m, sb, em = self.model, self.sb, self.me
         kvS = slots_of(m.n_kv_heads * m.d_head)
@@ -886,6 +958,11 @@ class BlockLowering:
                               ("SB", sb.rms), sb.zero)
                 self._gather(name, out, sb.qkv)
 
+    def attention_core(self) -> None:
+        """RoPE, the KV-cache append and per-head attention on the
+        master: the only part of a block that depends on the position."""
+        m, sb, em = self.model, self.sb, self.me
+        kvS = slots_of(m.n_kv_heads * m.d_head)
         dh = slots_of(m.d_head)
         self.rope(sb.qkv, m.n_heads)
         self.rope(sb.kv_new, m.n_kv_heads)
@@ -908,7 +985,11 @@ class BlockLowering:
                 em.riscv("scale_const", dh, qslot, qslot,
                          params=(inv_sqrt,))
                 self._head_attention(kv, qslot, n_groups, head)
-        # output projection over the concatenated head outputs
+
+    def o_proj(self) -> None:
+        """Output projection over the concatenated head outputs and the
+        residual add; closes the attention operator."""
+        sb, em = self.sb, self.me
         if self.tp == 1:
             emit_gemv(em, [GemvJob(self.bl.placements["o"][self.master],
                                    sb.qkv)], ("SB", sb.rms), sb.zero)
@@ -1189,23 +1270,23 @@ def _compile_block(layout: Layout, bl: BlockLayout, position: int,
                    emitters: dict) -> None:
     low = BlockLowering(layout, bl, position,
                         {d: emitters[d] for d in bl.tp_group})
-    low.rmsnorm("w_rms1")
-    low.attention()
-    low.rmsnorm("w_rms2")
-    low.ffn()
+    low.before_core()
+    low.attention_core()
+    low.after_core()
 
 
 def compile_token(model: ModelSpec, plan: MappingPlan, token_pos: int,
                   phase: str = "DECODE", arch: Optional[ArchConfig] = None,
-                  mode: str = "list",
                   layout: Optional[Layout] = None) -> list[DeviceTrace]:
-    """Lower one full token step to per-device traces.
+    """Lower one full token step to per-device instruction traces.
 
     Prefill and decode use the identical per-token path; `phase` is
-    carried for reporting only. mode="count" skips instruction
-    materialization and compiles one representative block per structure
-    class, scaling the counters (all blocks at a given group shape and
-    channel split are structurally identical).
+    carried for reporting only. Every block is lowered whole, segment
+    after segment, into one ListSink per device. Nothing is cached here:
+    the segment cache in `layout.invariant_segments` belongs to
+    `block_summaries`, the counting path that timing and energy read,
+    and it holds only because `BlockLowering.attention_core` is the one
+    segment that reads `token_pos`.
     """
     if phase not in ("PREFILL", "DECODE"):
         raise CompileError(f"unknown phase {phase!r}")
@@ -1214,20 +1295,16 @@ def compile_token(model: ModelSpec, plan: MappingPlan, token_pos: int,
         raise CompileError(f"position {token_pos} beyond max context "
                            f"{model.max_context}")
     layout = layout or build_layout(model, plan, arch)
-    sink_cls = ListSink if mode == "list" else CountSink
     devices = sorted({d for a in plan.block_assignments
                       for d in a.devices})
-    sinks = {d: sink_cls(d, arch) for d in devices}
+    sinks = {d: ListSink(d, arch) for d in devices}
     emitters = {d: Emitter(sinks[d], arch) for d in devices}
 
-    if mode == "count":
-        _compile_counting(layout, token_pos, sinks)
-    else:
-        for chain in _replica_chains(layout):
-            for i, bl in enumerate(chain):
-                _compile_block(layout, bl, token_pos, emitters)
-                if i + 1 < len(chain):
-                    _emit_boundary(layout, bl, chain[i + 1], emitters)
+    for chain in _replica_chains(layout):
+        for i, bl in enumerate(chain):
+            _compile_block(layout, bl, token_pos, emitters)
+            if i + 1 < len(chain):
+                _emit_boundary(layout, bl, chain[i + 1], emitters)
 
     traces = []
     for d in devices:
@@ -1237,7 +1314,7 @@ def compile_token(model: ModelSpec, plan: MappingPlan, token_pos: int,
             instructions=sinks[d].instructions,
             annotations=sinks[d].annotations,
             summary=sinks[d].summary,
-            routines=emitters[d].routines if mode == "list" else {}))
+            routines=emitters[d].routines))
     return traces
 
 
@@ -1270,7 +1347,19 @@ def block_summaries(model: ModelSpec, plan: MappingPlan, arch: ArchConfig,
                     token_pos: int, layout: Optional[Layout] = None
                     ) -> list[BlockClassSummary]:
     """One compiled summary per structure class of blocks; the timing
-    model multiplies per-block latency by the class count."""
+    model multiplies per-block latency by the class count.
+
+    Each class is counted on its first block. Only
+    `BlockLowering.attention_core` reads the position, so the segments
+    before and after it lower to the same instructions at every
+    position. They are lowered once per layout and class, on first use,
+    and kept as unfinished CountSinks in `layout.invariant_segments`;
+    `arch` must be the one `layout` was built with. Each call lowers
+    only the core at `token_pos` and composes the three segments with
+    `CountSink.append`, which gives exactly the summary of lowering the
+    whole block into one CountSink. The returned summaries are new
+    objects that the caller may change.
+    """
     layout = layout or build_layout(model, plan, arch)
     classes: dict = {}
     order = []
@@ -1283,39 +1372,31 @@ def block_summaries(model: ModelSpec, plan: MappingPlan, arch: ArchConfig,
     out = []
     for key in order:
         count, rep = classes[key]
-        sinks = {d: CountSink(d, arch) for d in rep.tp_group}
-        ems = {d: Emitter(sinks[d], arch) for d in rep.tp_group}
-        _compile_block(layout, rep, token_pos, ems)
-        out.append(BlockClassSummary(
-            count, rep, {di: sinks[dev].finish()
-                         for di, dev in enumerate(rep.tp_group)}))
+        invariant = layout.invariant_segments.get(key)
+        if invariant is None:
+            invariant = layout.invariant_segments[key] = (
+                _count_segment(layout, rep, token_pos, arch,
+                               BlockLowering.before_core),
+                _count_segment(layout, rep, token_pos, arch,
+                               BlockLowering.after_core))
+        before, after = invariant
+        core = _count_segment(layout, rep, token_pos, arch,
+                              BlockLowering.attention_core)
+        summaries = {}
+        for di, dev in enumerate(rep.tp_group):
+            sink = CountSink(dev, arch)
+            for seg in (before, core, after):
+                sink.append(seg[dev])
+            summaries[di] = sink.finish()
+        out.append(BlockClassSummary(count, rep, summaries))
     return out
 
 
-def _compile_counting(layout: Layout, token_pos: int, sinks: dict) -> None:
-    classes = block_summaries(layout.model, layout.plan, layout.arch,
-                              token_pos, layout)
-    by_key = {_structure_key(c.representative): c for c in classes}
-    for bl in layout.blocks:
-        cls = by_key[_structure_key(bl)]
-        rep = cls.representative
-        for di, dev in enumerate(bl.tp_group):
-            chan_map = dict(zip(rep.assignment.channels[di],
-                                bl.assignment.channels[di]))
-            sinks[dev].summary.merge(cls.device_summaries[di], 1,
-                                     chan_map=chan_map)
-    # boundary handoffs between consecutive blocks on different devices
-    n = slots_of(layout.model.d_model)
-    word = layout.arch.word_B
-    for chain in _replica_chains(layout):
-        for bl, nxt in zip(chain, chain[1:]):
-            if nxt.master == bl.master:
-                continue
-            s = sinks[bl.master].summary
-            s.instructions["SEND_CXL"] += n
-            s.microops["SEND_CXL"] += n
-            s.cxl_sent_B += n * word
-            r = sinks[nxt.master].summary
-            r.instructions["RECV_CXL"] += n
-            r.microops["RECV_CXL"] += n
-            r.cxl_recv += n
+def _count_segment(layout: Layout, bl: BlockLayout, position: int,
+                   arch: ArchConfig, segment) -> dict:
+    """Unfinished CountSink per device of `bl`'s group holding one block
+    segment (a BlockLowering method) at `position`."""
+    sinks = {d: CountSink(d, arch) for d in bl.tp_group}
+    segment(BlockLowering(layout, bl, position,
+                          {d: Emitter(sinks[d], arch) for d in bl.tp_group}))
+    return sinks

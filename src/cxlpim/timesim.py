@@ -260,7 +260,9 @@ def channel_busy_ns(st: ChannelStats, t: TimingParams) -> float:
     """Bank-array busy time of one channel from its bracket histogram
     plus buffer-load and accumulator-drain serial overheads."""
     ns = st.wr_gb * t.tCCDS_ns + st.rd_mac * t.tCL_ns
-    for n_cols, count in st.bracket_hist.items():
+    # in key order: the histogram's insertion order depends on how its
+    # trace segments were composed, and float sums on their order
+    for n_cols, count in sorted(st.bracket_hist.items()):
         ns += count * bracket_ns(n_cols, t)
     if t.refresh_enabled:
         ns *= 1.0 + t.tRFC_ns / t.tREFI_ns

@@ -37,6 +37,40 @@ def test_verify_toy_passes(capsys):
     assert "PASS" in out
 
 
+def test_verify_two_device_pipeline_passes(capsys):
+    rc = cli.main(["verify", "--model", "toy", "--devices", "2",
+                   "--pos", "20"])
+    assert rc == 0
+    assert "bit-exact" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    # CompileError: 256 rows do not split over tp=3
+    ["simulate", "--model", "toy", "--strategy", "hybrid", "--tp", "3",
+     "--prefill", "0", "--decode", "16"],
+    # IsaError: the lowering addresses 32 accumulation registers
+    ["simulate", "--model", "toy", "--set", "arch.acc_registers=16",
+     "--prefill", "0", "--decode", "16"],
+])
+def test_lowering_errors_exit_2_with_one_line(argv, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_functional_simulation_error_exits_2(monkeypatch, capsys):
+    from cxlpim import funcsim
+
+    def deadlock(*args, **kwargs):
+        raise funcsim.SimError("deadlock")
+
+    monkeypatch.setattr(funcsim, "run_trace", deadlock)
+    rc = cli.main(["verify", "--model", "toy", "--devices", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: functional simulation: deadlock\n")
+
+
 def test_simulate_writes_artifacts(tmp_path, capsys):
     rc = cli.main(["simulate", *TOY_ARGS, "--out", str(tmp_path)])
     assert rc == 0

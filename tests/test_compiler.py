@@ -3,11 +3,12 @@ import json
 import pytest
 
 from cxlpim.config import ArchConfig, ModelSpec
-from cxlpim.isa import validate_trace
-from cxlpim.mapper import plan_pipeline, plan_tensor
+from cxlpim.isa import make_instruction, validate_trace
+from cxlpim.mapper import plan_hybrid, plan_pipeline, plan_tensor
 from cxlpim import compiler
 from cxlpim.compiler import (
-    CompileError, Emitter, GemvJob, KIND_GEMV, ListSink, TensorPlacement,
+    CompileError, CountSink, Emitter, GemvJob, KIND_GEMV, ListSink,
+    TensorPlacement,
     build_layout, compile_token, emit_gemv, lower_attention, lower_gemv,
     lower_rmsnorm, lower_rope, lower_softmax, write_manifest,
 )
@@ -18,6 +19,11 @@ TOY = ModelSpec(name="toy", n_layers=2, d_model=256, n_heads=4,
                 n_kv_heads=1, d_head=64, d_ff=688, max_context=64)
 LLAMA_70B = ModelSpec(name="llama2-70b", n_layers=80, d_model=8192,
                       n_heads=64, n_kv_heads=8, d_head=128, d_ff=28672)
+LLAMA_7B = ModelSpec(name="llama2-7b", n_layers=32, d_model=4096,
+                     n_heads=32, n_kv_heads=32, d_head=128, d_ff=11008)
+# toy-scale model whose FFN splits over tp=2 (the toy's d_ff=688 does not)
+TINY = ModelSpec(name="tiny", n_layers=2, d_model=128, n_heads=2,
+                 n_kv_heads=1, d_head=64, d_ff=2048, max_context=64)
 
 
 def gemv_placement(rows, cols, channels=(0,), base_row=0):
@@ -255,18 +261,40 @@ def test_ffn_applies_silu(toy_traces):
     assert afs and all(i.AFid == compiler.SILU for i in afs)
 
 
-def test_count_mode_matches_list_mode(toy_layout):
-    plan, layout = toy_layout
-    full = compile_token(TOY, plan, 20, layout=layout)
-    counted = compile_token(TOY, plan, 20, mode="count", layout=layout)
-    assert counted[0].instructions is None
-    assert counted[0].summary.instructions == full[0].summary.instructions
-    assert counted[0].summary.microops == full[0].summary.microops
-    for ch, st in full[0].summary.channels.items():
-        cst = counted[0].summary.channels[ch]
-        assert (st.col_cmds, st.wr_gb, st.rd_mac) == (
-            cst.col_cmds, cst.wr_gb, cst.rd_mac)
-        assert st.bracket_hist == cst.bracket_hist
+def test_block_summaries_match_list_mode():
+    # the counting path (one summary per structure class, reused for
+    # every block of the class, plus the mapper's boundary handoffs)
+    # counts what the materialized token trace holds
+    for n_devices in (1, 2):
+        plan = plan_pipeline(TOY, ARCH, TOY.max_context,
+                             n_devices=n_devices)
+        layout = build_layout(TOY, plan, ARCH)
+        classes = {compiler._structure_key(c.representative): c
+                   for c in compiler.block_summaries(TOY, plan, ARCH, 20,
+                                                     layout)}
+        counted: dict = {}
+        for bl in layout.blocks:
+            cls = classes[compiler._structure_key(bl)]
+            for di, dev in enumerate(bl.tp_group):
+                rep = cls.representative
+                chan_map = dict(zip(rep.assignment.channels[di],
+                                    bl.assignment.channels[di]))
+                counted.setdefault(dev, compiler.TraceSummary()).merge(
+                    cls.device_summaries[di], chan_map=chan_map)
+        for ev in plan.comm_schedule:
+            if ev.label != "boundary":
+                continue
+            n = ev.payload_B // ARCH.word_B
+            src, dst = counted[ev.source], counted[ev.dests[0]]
+            src.instructions["SEND_CXL"] += n
+            src.microops["SEND_CXL"] += n
+            src.cxl_sent_B += ev.payload_B
+            dst.instructions["RECV_CXL"] += n
+            dst.microops["RECV_CXL"] += n
+            dst.cxl_recv += n
+        listed = compile_token(TOY, plan, 20, layout=layout)
+        assert {t.device: t.summary.to_dict() for t in listed} == {
+            dev: s.to_dict() for dev, s in counted.items()}
 
 
 def test_decode_positions_same_structure(toy_layout):
@@ -323,22 +351,30 @@ def test_manifest_round_trip(toy_traces, tmp_path):
 # full-model scale
 
 @pytest.fixture(scope="module")
-def traces_70b():
-    plan = plan_pipeline(LLAMA_70B, ARCH, 4096)
-    return compile_token(LLAMA_70B, plan, 4095, mode="count")
+def plan_70b():
+    return plan_pipeline(LLAMA_70B, ARCH, 4096)
 
 
-def test_mac_dominance_70b(traces_70b):
+def test_mac_dominance_70b(plan_70b):
     total = compiler.TraceSummary()
-    for t in traces_70b:
-        total.merge(t.summary)
+    for cls in compiler.block_summaries(LLAMA_70B, plan_70b, ARCH, 4095):
+        for s in cls.device_summaries.values():
+            total.merge(s, factor=cls.count)
     assert total.mac_fraction() >= 0.99
 
 
-def test_70b_boundary_traffic(traces_70b):
-    sent = sum(t.summary.cxl_sent_B for t in traces_70b)
+def test_70b_boundary_traffic(plan_70b):
+    # the compiler hands the hidden state on wherever consecutive blocks
+    # change master; the mapper schedules the same handoffs for timing
+    layout = build_layout(LLAMA_70B, plan_70b, ARCH)
+    hops = sum(nxt.master != bl.master
+               for chain in compiler._replica_chains(layout)
+               for bl, nxt in zip(chain, chain[1:]))
+    sent = hops * compiler.slots_of(LLAMA_70B.d_model) * ARCH.word_B
+    scheduled = sum(ev.payload_B for ev in plan_70b.comm_schedule
+                    if ev.label == "boundary")
     # 26 stage boundaries x 16 KB hidden vector
-    assert sent == 26 * 16 * 1024
+    assert sent == scheduled == 26 * 16 * 1024
 
 
 def test_tensor_parallel_compiles_and_gathers():
@@ -353,3 +389,136 @@ def test_tensor_parallel_compiles_and_gathers():
     assert s.instructions["BCAST_CXL"] > 0
     assert s.instructions["SEND_CXL"] > 0
     assert s.cxl_sent_B > 0
+
+
+# ---------------------------------------------------------------------------
+# composing counting summaries
+
+def _mac(ch, row, cols):
+    return make_instruction("MAC_ABK", 1 << ch, cols, row, 0, 0)
+
+
+def _composed_and_whole(segments):
+    """Summaries of `segments` counted apart and joined with append, and
+    of the same instructions emitted into one sink."""
+    whole, composed = CountSink(0, ARCH), CountSink(0, ARCH)
+    for seg in segments:
+        part = CountSink(0, ARCH)
+        for inst in seg:
+            whole.emit(inst)
+            part.emit(inst)
+        composed.append(part)
+    return composed.finish(), whole.finish()
+
+
+@pytest.mark.parametrize("segments, hists", [
+    # same row across the boundary: the two brackets are one
+    ([[_mac(0, 5, 4), _mac(0, 6, 4)], [_mac(0, 6, 8), _mac(0, 7, 2)]],
+     {0: {4: 1, 12: 1, 2: 1}}),
+    # different row: the open bracket closes at the boundary
+    ([[_mac(0, 5, 4), _mac(0, 6, 4)], [_mac(0, 7, 8), _mac(0, 7, 1)]],
+     {0: {4: 2, 9: 1}}),
+    # a middle segment that never touches channel 0 leaves it open
+    ([[_mac(0, 5, 4)], [_mac(1, 9, 4), _mac(1, 3, 2)], [_mac(0, 5, 4)]],
+     {0: {8: 1}, 1: {4: 1, 2: 1}}),
+    # single-bracket segments continue and are continued
+    ([[_mac(0, 5, 4)], [_mac(0, 5, 2), _mac(0, 5, 2)], [_mac(0, 5, 1)]],
+     {0: {9: 1}}),
+    ([[_mac(0, 5, 4)], [_mac(0, 6, 2)], [_mac(0, 7, 1)]],
+     {0: {4: 1, 2: 1, 1: 1}}),
+    # empty segments, including the first, change nothing
+    ([[], [_mac(0, 5, 4)], [], [_mac(0, 5, 4)], []], {0: {8: 1}}),
+    ([[], []], {}),
+])
+def test_append_composes_segments_exactly(segments, hists):
+    composed, whole = _composed_and_whole(segments)
+    assert composed.to_dict() == whole.to_dict()
+    assert {ch: dict(st.bracket_hist)
+            for ch, st in composed.channels.items()} == hists
+
+
+def test_append_counts_every_activity_field():
+    wr_gb = make_instruction("WR_GB", 0b11, 8, 0, 0)
+    rd = make_instruction("RD_MAC", 0b10, 40, 0)
+    composed, whole = _composed_and_whole(
+        [[wr_gb, _mac(0, 5, 8)], [_mac(1, 2, 8), rd], [_mac(0, 5, 8), wr_gb]])
+    assert composed.to_dict() == whole.to_dict()
+    assert composed.channels[0].wr_gb == 16
+    assert composed.channels[1].rd_mac == 1
+
+
+def test_append_leaves_segment_reusable():
+    # the same unfinished sinks appended into two sinks, each time
+    # opening or continuing a bracket that later instructions extend
+    segs = {"part": [_mac(0, 5, 4), _mac(0, 6, 4)], "single": [_mac(0, 6, 2)]}
+    parts = {}
+    for name, insts in segs.items():
+        parts[name] = CountSink(0, ARCH)
+        for inst in insts:
+            parts[name].emit(inst)
+    stream = ["single", _mac(0, 6, 1), "part", "single", _mac(0, 9, 1),
+              "single", _mac(0, 6, 1), "part"]
+    whole = CountSink(0, ARCH)
+    for x in stream:
+        for inst in segs[x] if isinstance(x, str) else [x]:
+            whole.emit(inst)
+    expected = whole.finish().to_dict()
+    for _ in range(2):
+        sink = CountSink(0, ARCH)
+        for x in stream:
+            if isinstance(x, str):
+                sink.append(parts[x])
+            else:
+                sink.emit(x)
+        assert sink.finish().to_dict() == expected
+
+
+def _sequential_summaries(layout, bl, pos):
+    """Per-role summaries of one block lowered whole into CountSinks."""
+    sinks = {d: CountSink(d, ARCH) for d in bl.tp_group}
+    compiler._compile_block(layout, bl, pos,
+                            {d: Emitter(sinks[d], ARCH) for d in bl.tp_group})
+    return {di: sinks[d].finish().to_dict()
+            for di, d in enumerate(bl.tp_group)}
+
+
+@pytest.mark.parametrize("model, plan_of, positions", [
+    (TOY, lambda: plan_pipeline(TOY, ARCH, 64, n_devices=1), range(64)),
+    (TOY, lambda: plan_pipeline(TOY, ARCH, 64, n_devices=2), range(64)),
+    (TINY, lambda: plan_hybrid(TINY, ARCH, tp=2, pp=2, context=64),
+     range(64)),
+    (LLAMA_7B, lambda: plan_pipeline(LLAMA_7B, ARCH, 4096, n_devices=8),
+     (17, 4095)),
+], ids=["toy-pp1", "toy-pp2", "tiny-hybrid-tp2", "7b-pp"])
+def test_block_summaries_equal_sequential_lowering(model, plan_of, positions):
+    plan = plan_of()
+    warm_layout = build_layout(model, plan, ARCH)
+    for pos in positions:
+        cold_layout = build_layout(model, plan, ARCH)
+        cold = compiler.block_summaries(model, plan, ARCH, pos, cold_layout)
+        warm = compiler.block_summaries(model, plan, ARCH, pos, warm_layout)
+        assert len(warm_layout.invariant_segments) == len(warm)
+        for classes, layout in ((cold, cold_layout), (warm, warm_layout)):
+            for cls in classes:
+                got = {di: s.to_dict()
+                       for di, s in cls.device_summaries.items()}
+                assert got == _sequential_summaries(
+                    layout, cls.representative, pos), (pos, cls.count)
+
+
+def test_block_summaries_returns_fresh_objects():
+    plan = plan_hybrid(TINY, ARCH, tp=2, pp=1, context=64)
+    layout = build_layout(TINY, plan, ARCH)
+    first = compiler.block_summaries(TINY, plan, ARCH, 30, layout)
+    expected = [{di: s.to_dict() for di, s in c.device_summaries.items()}
+                for c in first]
+    for cls in first:
+        for s in cls.device_summaries.values():
+            s.merge(s)
+            s.instructions["MAC_ABK"] += 1
+            for st in s.channels.values():
+                st.bracket_hist[3] += 1
+                st.col_cmds += 1
+    again = compiler.block_summaries(TINY, plan, ARCH, 30, layout)
+    assert [{di: s.to_dict() for di, s in c.device_summaries.items()}
+            for c in again] == expected

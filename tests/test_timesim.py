@@ -195,6 +195,20 @@ def test_channel_busy_matches_closed_form():
     assert channel_busy_ns(st, T) == closed_form_gemv_latency(32, 2048, 1, T)
 
 
+def test_channel_busy_ignores_histogram_order():
+    # composed trace segments count brackets in another order than one
+    # sink; with non-integer timings float sums would see the difference
+    t = dataclasses.replace(T, tCCDS_ns=0.7)
+    items = [(13, 3), (64, 1), (29, 7), (17, 5)]
+    busy = set()
+    for order in (items, [items[i] for i in (2, 3, 0, 1)]):
+        st = ChannelStats()
+        for n_cols, count in order:
+            st.bracket_hist[n_cols] = count
+        busy.add(channel_busy_ns(st, t))
+    assert len(busy) == 1
+
+
 def test_bracket_floor_is_tras_plus_trp():
     assert bracket_ns(1, T) == 43.0
     assert bracket_ns(9, T) == 43.0
