@@ -26,6 +26,14 @@ segments per layout and structure class as unfinished CountSinks and
 composes them with the core lowered at each position; that is exact
 because CountSink keeps each channel's first and last DRAM-row bracket
 open until finish().
+
+Inside the core, query heads that share a KV head (grouped-query
+attention) differ only in the Shared Buffer slots they read q from and
+write their output to. Everything between (the score pass, softmax and
+the score x V pass) reads only the KV head's placement, the position
+and the channel's scratch row, so it is lowered once per KV head and
+position into a segment sink and appended for each of its query heads,
+in list and count mode alike.
 """
 
 from __future__ import annotations
@@ -303,8 +311,6 @@ class CountSink:
     emitted into one sink in order.
     """
 
-    keeps_instructions = False
-
     def __init__(self, device: int, cfg: ArchConfig):
         self.device = device
         self.cfg = cfg
@@ -318,9 +324,6 @@ class CountSink:
         self.summary.operators[name] += 1
 
     def end_op(self) -> None:
-        pass
-
-    def note_routine(self, pc: int, kind: str, params: tuple) -> None:
         pass
 
     @staticmethod
@@ -410,13 +413,10 @@ class CountSink:
 class ListSink(CountSink):
     """Materializes the instruction stream alongside the counters."""
 
-    keeps_instructions = True
-
     def __init__(self, device: int, cfg: ArchConfig):
         super().__init__(device, cfg)
         self.instructions: list[Instruction] = []
         self._op_stack: list[tuple[str, int]] = []
-        self.routines: dict = {}
 
     def begin_op(self, name: str) -> None:
         super().begin_op(name)
@@ -426,13 +426,17 @@ class ListSink(CountSink):
         name, start = self._op_stack.pop()
         self.annotations.append((name, start, len(self.instructions)))
 
-    def note_routine(self, pc: int, kind: str, params: tuple) -> None:
-        self.routines[pc] = (kind, params)
-
     def emit(self, inst: Instruction,
              riscv_kind: Optional[str] = None) -> None:
         super().emit(inst, riscv_kind)
         self.instructions.append(inst)
+
+    def append(self, seg: "ListSink") -> None:
+        """As `CountSink.append`, and the segment's instructions (the
+        same frozen objects) follow this sink's own. Segments open no
+        operators, so there are no annotations to carry over."""
+        super().append(seg)
+        self.instructions.extend(seg.instructions)
 
 
 @dataclass
@@ -683,9 +687,15 @@ class Emitter:
         if pc is None:
             pc = len(self._routines)
             self._routines[key] = pc
-            self.sink.note_routine(pc, kind, params)
         self.sink.emit(make_instruction("RISCV", opsize, pc, rd, rs,
                                         cfg=self.cfg), riscv_kind=kind)
+
+    def segment(self) -> "Emitter":
+        """Emitter into a fresh sink of this one's class that shares this
+        emitter's routine table, for a segment appended here later."""
+        seg = Emitter(type(self.sink)(self.sink.device, self.cfg), self.cfg)
+        seg._routines = self._routines
+        return seg
 
     @property
     def routines(self) -> dict:
@@ -960,13 +970,20 @@ class BlockLowering:
 
     def attention_core(self) -> None:
         """RoPE, the KV-cache append and per-head attention on the
-        master: the only part of a block that depends on the position."""
+        master: the only part of a block that depends on the position.
+
+        Query heads that share a KV head run the same attention body
+        (see `_head_attention`): it reads only the KV placement, the
+        group count, the position's lane and the channel's score
+        scratch row, never the query head. It is lowered once per KV
+        head, into a segment of the master's sink class, and appended
+        for every query head between that head's own prologue and
+        epilogue."""
         m, sb, em = self.model, self.sb, self.me
         kvS = slots_of(m.n_kv_heads * m.d_head)
         dh = slots_of(m.d_head)
         self.rope(sb.qkv, m.n_heads)
         self.rope(sb.kv_new, m.n_kv_heads)
-        inv_sqrt = 1.0 / math.sqrt(m.d_head)
         heads_per_kv = m.n_heads // m.n_kv_heads
         n_groups = -(-(self.pos + 1) // LANE)
         for kv in self.bl.kv:
@@ -979,12 +996,10 @@ class BlockLowering:
                 vrow, vco, lane = kv.v_loc(g, self.pos)
                 em.i("WR_ABK", ch, vrow, vco,
                      sb.kv_new + kvS + kv.kv_head * dh + g, lane)
+            body = None
             for hq in range(heads_per_kv):
-                head = kv.kv_head * heads_per_kv + hq
-                qslot = sb.qkv + head * dh
-                em.riscv("scale_const", dh, qslot, qslot,
-                         params=(inv_sqrt,))
-                self._head_attention(kv, qslot, n_groups, head)
+                body = self._head_attention(
+                    kv, kv.kv_head * heads_per_kv + hq, n_groups, body)
 
     def o_proj(self) -> None:
         """Output projection over the concatenated head outputs and the
@@ -1005,22 +1020,55 @@ class BlockLowering:
         em.i("ACC", self._d_slots(), sb.hidden, sb.qkv)
         self._end()
 
-    def _head_attention(self, kv: KvCachePlacement, q_slot: int,
-                        n_groups: int, head: int) -> None:
-        """Scores into DRAM staging (pass 1, tracking the running max),
-        then per 64-slot tile: stabilized exp, denominator accumulation
-        and the score x V GEMV (pass 2). Normalization by 1/denominator
-        is applied once to the d_head output slots."""
+    def _softmax_slots(self) -> tuple[int, int, int, int, int]:
+        """Running max, denominator, reduction result, 1/denominator and
+        the score tile, in the tmp slot region."""
+        t = self.sb.tmp
+        return t + 8, t + 9, t + 10, t + 11, t + 16
+
+    def _head_attention(self, kv: KvCachePlacement, head: int,
+                        n_groups: int, body: Optional[CountSink]
+                        ) -> CountSink:
+        """One query head's attention: a prologue that scales q and
+        replicates it into the Global Buffer, the shared body from
+        `_attention_body`, and an epilogue that drains the d_head
+        accumulators into the head's output slots and applies
+        1/denominator. Only the prologue and epilogue name the head's
+        own Shared Buffer slots, so `body` (None for a KV head's first
+        query head, which lowers it after its prologue so RISC-V
+        routines keep their first-use order) is the same for every
+        query head of `kv`. Returns the body."""
         sb, em = self.sb, self.me
-        ch, dh = kv.channel, kv.dh_slots
-        mask = 1 << ch
-        srow = self.bl.score_scratch_row[ch]
-        smax, sden, sred, sinv = (sb.tmp + 8, sb.tmp + 9, sb.tmp + 10,
-                                  sb.tmp + 11)
-        stile = sb.tmp + 16
+        dh, mask = kv.dh_slots, 1 << kv.channel
+        q_slot = sb.qkv + head * dh
+        em.riscv("scale_const", dh, q_slot, q_slot,
+                 params=(1.0 / math.sqrt(self.model.d_head),))
         # replicate q so each packed K run sees it at its own columns
         for r in range(min(kv.k_runs_per_row, n_groups)):
             em.i("WR_GB", mask, dh, r * dh, q_slot)
+        if body is None:
+            body = self._attention_body(kv, n_groups)
+        em.sink.append(body)
+        out = sb.rms + head * dh
+        for g in range(dh):
+            em.i("RD_MAC", mask, out + g, g)
+        sinv = self._softmax_slots()[3]
+        em.riscv("scale", dh, out, out, params=(sinv,))
+        return body
+
+    def _attention_body(self, kv: KvCachePlacement,
+                        n_groups: int) -> CountSink:
+        """Scores into DRAM staging (pass 1, tracking the running max),
+        then per 64-slot tile: stabilized exp, denominator accumulation
+        and the score x V GEMV into d_head accumulators (pass 2), and
+        1/denominator. Returned as an unfinished segment sink for
+        `_head_attention` to append; it reads no query head's slots."""
+        em = self.me.segment()
+        sb = self.sb
+        ch, dh = kv.channel, kv.dh_slots
+        mask = 1 << ch
+        srow = self.bl.score_scratch_row[ch]
+        smax, sden, sred, sinv, stile = self._softmax_slots()
         em.riscv("fill", 1, smax, smax, params=(-3.0e38,))
         em.riscv("fill", 1, sden, sden, params=(0.0,))
         for base in range(0, n_groups, REGS):
@@ -1052,10 +1100,7 @@ class BlockLowering:
                 em.i("MAC_ABK", mask, s,
                      kv.v_base_row + g * kv.v_rows_per_group + t, 0, g)
         em.riscv("recip", 1, sinv, sden)
-        out = sb.rms + head * dh
-        for g in range(dh):
-            em.i("RD_MAC", mask, out + g, g)
-        em.riscv("scale", dh, out, out, params=(sinv,))
+        return em.sink
 
     def ffn(self) -> None:
         self._begin("ffn")

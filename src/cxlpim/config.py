@@ -303,10 +303,6 @@ def load_config(path: str | Path) -> tuple[ModelSpec, ArchConfig]:
     return model, arch
 
 
-def load_model(path: str | Path) -> ModelSpec:
-    return load_config(path)[0]
-
-
 def apply_overrides(obj, overrides: dict[str, Any]):
     """Apply dotted-path --set overrides to a frozen dataclass tree."""
     for key, value in overrides.items():

@@ -84,24 +84,6 @@ class EnergyReport:
     n_devices: int
     active_devices: int
 
-    def __add__(self, other: "EnergyReport") -> "EnergyReport":
-        if not isinstance(other, EnergyReport):
-            return NotImplemented
-        if (self.n_devices != other.n_devices or
-                self.active_devices != other.active_devices):
-            raise EnergyError("cannot combine reports over different fleets")
-        cats = {k: self.categories[k] + other.categories[k]
-                for k in CATEGORIES}
-        return _finish_report(cats, self.wall_s + other.wall_s,
-                              self.tokens + other.tokens,
-                              self.n_devices, self.active_devices,
-                              self._per_device_background_W)
-
-    @property
-    def _per_device_background_W(self) -> float:
-        return (self.categories["background"] / self.n_devices / self.wall_s
-                if self.wall_s > 0 else 0.0)
-
     def to_dict(self) -> dict:
         return {
             "wall_s": self.wall_s,

@@ -8,7 +8,7 @@ scoped to one CXL device.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .config import ArchConfig
 
@@ -33,6 +33,11 @@ OPCODE_FIELDS: dict[str, tuple[str, ...]] = {
     "RD_MAC":    ("CHmask", "Rd", "Regid"),
     "WR_GB":     ("CHmask", "OPsize", "CO", "Rs"),
 }
+
+# opcode -> operand name -> position in `operands`
+FIELD_INDEX: dict[str, dict[str, int]] = {
+    op: {name: i for i, name in enumerate(fields)}
+    for op, fields in OPCODE_FIELDS.items()}
 
 ARITHMETIC_OPCODES = frozenset(
     {"MAC_ABK", "EW_MUL", "AF", "EXP", "RED", "ACC", "RISCV"})
@@ -75,16 +80,14 @@ class Instruction:
                                             "source_select", "copy_bank",
                                             "red_mode"):
             raise AttributeError(name)  # keeps pickling sane
-        fields = OPCODE_FIELDS.get(self.opcode, ())
-        if name in fields:
-            return self.operands[fields.index(name)]
-        raise AttributeError(name)
+        i = FIELD_INDEX.get(self.opcode, {}).get(name)
+        if i is None:
+            raise AttributeError(name)
+        return self.operands[i]
 
     def get(self, name: str, default: Optional[int] = None) -> Optional[int]:
-        fields = OPCODE_FIELDS[self.opcode]
-        if name in fields:
-            return self.operands[fields.index(name)]
-        return default
+        i = FIELD_INDEX[self.opcode].get(name)
+        return default if i is None else self.operands[i]
 
 
 @dataclass(frozen=True)
@@ -387,7 +390,3 @@ def parse_trace(text: str, cfg: Optional[ArchConfig] = None) -> list[Instruction
         except IsaError as e:
             raise IsaError(f"line {lineno}: {e}") from None
     return out
-
-
-def format_trace(insts: Iterable[Instruction]) -> str:
-    return "".join(format_instruction(i) + "\n" for i in insts)

@@ -207,6 +207,17 @@ def test_attention_gqa_one_score_pass_per_query_head(toy_layout):
     insts = lower_attention(TOY, 16, layout)
     exp = [i for i in insts if i.opcode == "EXP"]
     assert len(exp) == TOY.n_heads     # 4 query heads share 1 KV head
+    # each head drains its accumulators into its own output slots, right
+    # after its own score pass (the rms region holds the head outputs)
+    sb, dh = layout.sb, TOY.d_head // 16
+    drains, n_exp = [], 0
+    for i in insts:
+        if i.opcode == "EXP":
+            n_exp += 1
+        elif i.opcode == "RD_MAC" and sb.rms <= i.Rd < sb.qkv:
+            drains.append((n_exp, i.Rd, i.Regid))
+    assert drains == [(h + 1, sb.rms + h * dh + g, g)
+                      for h in range(TOY.n_heads) for g in range(dh)]
 
 
 def test_attention_context_bounds(toy_layout):
@@ -295,6 +306,24 @@ def test_block_summaries_match_list_mode():
         listed = compile_token(TOY, plan, 20, layout=layout)
         assert {t.device: t.summary.to_dict() for t in listed} == {
             dev: s.to_dict() for dev, s in counted.items()}
+
+
+@pytest.mark.parametrize("n_devices", (1, 2))
+def test_token_summaries_recount_one_instruction_at_a_time(n_devices):
+    # both sinks append the shared attention bodies, so recount each
+    # materialized trace by emitting its instructions one by one
+    plan = plan_pipeline(TOY, ARCH, TOY.max_context, n_devices=n_devices)
+    layout = build_layout(TOY, plan, ARCH)
+    for pos in (0, 15, 16, 20, 40, 63):
+        for t in compile_token(TOY, plan, pos, layout=layout):
+            sink = CountSink(t.device, ARCH)
+            for name, _, _ in t.annotations:
+                sink.begin_op(name)
+            for inst in t.instructions:
+                kind = (t.routines[inst.PC][0] if inst.opcode == "RISCV"
+                        else None)
+                sink.emit(inst, riscv_kind=kind)
+            assert sink.finish().to_dict() == t.summary.to_dict(), pos
 
 
 def test_decode_positions_same_structure(toy_layout):

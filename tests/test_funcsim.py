@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cxlpim.config import ArchConfig, ModelSpec
-from cxlpim.isa import make_instruction
+from cxlpim.isa import make_instruction, validate_trace
 from cxlpim.mapper import plan_hybrid, plan_pipeline
 from cxlpim import compiler as C
 from cxlpim import funcsim as F
@@ -23,6 +23,9 @@ TOY = ModelSpec(name="toy", n_layers=2, d_model=256, n_heads=4,
 # Global Buffer tile (the bank-streamed input cannot share DRAM rows)
 TINY = ModelSpec(name="tiny", n_layers=2, d_model=128, n_heads=2,
                  n_kv_heads=1, d_head=64, d_ff=2048, max_context=64)
+# the toy with two KV heads, each shared by two query heads
+MKV = ModelSpec(name="mkv", n_layers=2, d_model=256, n_heads=4,
+                n_kv_heads=2, d_head=64, d_ff=688, max_context=64)
 
 
 def random_weights(model, rng, scale=0.05):
@@ -226,28 +229,30 @@ def test_reference_hand_computed_single_step():
 # ---------------------------------------------------------------------------
 # end-to-end token: compiled trace vs reference
 
-def toy_state(rng, pos):
-    weights = [random_weights(TOY, rng) for _ in range(TOY.n_layers)]
+def toy_state(rng, pos, model=TOY):
+    weights = [random_weights(model, rng) for _ in range(model.n_layers)]
     ks = [bf16(rng.normal(scale=0.5,
-                          size=(TOY.n_kv_heads, pos, TOY.d_head)))
-          for _ in range(TOY.n_layers)]
+                          size=(model.n_kv_heads, pos, model.d_head)))
+          for _ in range(model.n_layers)]
     vs = [bf16(rng.normal(scale=0.5,
-                          size=(TOY.n_kv_heads, pos, TOY.d_head)))
-          for _ in range(TOY.n_layers)]
-    hidden = bf16(rng.normal(size=TOY.d_model))
+                          size=(model.n_kv_heads, pos, model.d_head)))
+          for _ in range(model.n_layers)]
+    hidden = bf16(rng.normal(size=model.d_model))
     return weights, ks, vs, hidden
 
 
 def run_toy_token(plan, layout, weights, ks, vs, hidden, pos):
+    """(traces, output hidden state) of one token on `layout`'s model."""
+    model = layout.model
     img = prepare_image(layout, weights)
-    for b in range(TOY.n_layers):
+    for b in range(model.n_layers):
         load_kv_history(img, layout, b, ks[b], vs[b])
     first = layout.blocks[0].master
     img.write_slots(first, layout.sb.hidden, hidden)
-    traces = C.compile_token(TOY, plan, pos, layout=layout)
+    traces = C.compile_token(model, plan, pos, layout=layout)
     run_trace(traces, img, groups=tp_groups(plan))
     last = layout.blocks[-1].master
-    return img, img.read_slots(last, layout.sb.hidden, TOY.d_model)
+    return traces, img.read_slots(last, layout.sb.hidden, model.d_model)
 
 
 def test_toy_token_matches_order_matched_reference():
@@ -288,6 +293,29 @@ def test_toy_first_token_empty_cache():
         h, _, _ = reference_block(TOY, weights[b], h, ks[b], vs[b], 0,
                                   match_hardware=True, down_perm=perm)
     assert np.array_equal(got, h)
+
+
+@pytest.mark.parametrize("n_devices", (1, 2))
+def test_multi_kv_head_token_matches_order_matched_reference(n_devices):
+    # query heads share their KV head's attention body; an operand of
+    # one query head left inside it would corrupt its neighbour's output
+    plan = plan_pipeline(MKV, ARCH, MKV.max_context, n_devices=n_devices)
+    layout = C.build_layout(MKV, plan, ARCH)
+    assert len({kv.channel for kv in layout.blocks[0].kv}) == 2
+    for pos in (0, 15, 16, 40, 63):
+        rng = np.random.default_rng(pos)
+        weights, ks, vs, hidden = toy_state(rng, pos, MKV)
+        traces, got = run_toy_token(plan, layout, weights, ks, vs, hidden,
+                                    pos)
+        report = validate_trace({t.device: t.instructions for t in traces},
+                                ARCH)
+        assert report.well_formed, [f.message for f in report.findings]
+        h = hidden.copy()
+        for b, bl in enumerate(layout.blocks):
+            perm = bl.placements["down"][bl.master].col_perm
+            h, _, _ = reference_block(MKV, weights[b], h, ks[b], vs[b], pos,
+                                      match_hardware=True, down_perm=perm)
+        assert np.array_equal(got, h), pos
 
 
 def test_two_device_pipeline_matches_single_device():
