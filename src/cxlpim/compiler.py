@@ -12,10 +12,13 @@ accumulation registers in batches of 32. Inputs are re-streamed through
 the Global Buffer (or via COPY_BKGB from a DRAM scratch region) for each
 register batch, so partial sums never spill.
 
-Traces are emitted through a sink: ListSink materializes instructions
-for the functional simulator, CountSink keeps instruction/micro-op
-counters and per-channel activity statistics (for timing and energy)
-without materializing anything.
+Traces are emitted through a sink as an opcode and its operand tuple.
+Both sinks keep instruction/micro-op counters and per-channel activity
+statistics (for timing and energy), counted from the operand tuple.
+ListSink also builds each instruction with isa.make_instruction and
+keeps it for the functional simulator; CountSink only range-checks the
+operands with isa.check_operands and builds nothing. Either way every
+emitted instruction is checked exactly once.
 
 A block lowers as three segments: before_core (RMSNorm, QKV), the
 attention core (RoPE, KV append, per-head attention) and after_core
@@ -297,8 +300,25 @@ _BANK_ROW_OPS = frozenset({"MAC_ABK", "EW_MUL", "COPY_BKGB", "COPY_GBBK",
                            "WR_SBK", "RD_SBK", "WR_ABK"})
 
 
+def _count_plan(op: str) -> tuple:
+    """(channel index, channel operand is a CHmask, OPsize index, RO
+    index) of `op`'s operands. An absent field's index is None, and so
+    is the channel's where no per-channel counter reads it."""
+    idx = isa.FIELD_INDEX[op]
+    ch = (idx.get("CHmask", idx.get("CHid"))
+          if op in _BANK_ROW_OPS or op in ("WR_GB", "RD_MAC") else None)
+    return ch, "CHmask" in idx, idx.get("OPsize"), idx.get("RO")
+
+
+_COUNT_PLAN = {op: _count_plan(op) for op in isa.OPCODE_FIELDS}
+
+
 class CountSink:
     """Accumulates activity counters; never materializes instructions.
+
+    `emit` range-checks each instruction with `isa.check_operands` and
+    counts it straight from its operand tuple, so no `Instruction` is
+    built.
 
     Consecutive bank-row instructions on a channel that stay within one
     DRAM row share an activate/precharge bracket; the histogram of
@@ -326,44 +346,45 @@ class CountSink:
     def end_op(self) -> None:
         pass
 
-    @staticmethod
-    def _channels_of(inst: Instruction) -> list[int]:
-        fields = isa.OPCODE_FIELDS[inst.opcode]
-        if "CHmask" in fields:
-            return isa.mask_channels(inst.CHmask)
-        if "CHid" in fields:
-            return [inst.CHid]
-        return []
+    def emit(self, opcode: str, operands: tuple,
+             riscv_kind: Optional[str] = None, **flags) -> None:
+        """Count one instruction given as its opcode, its operands in
+        assembly order and make_instruction's keyword flags."""
+        isa.check_operands(opcode, operands, cfg=self.cfg, **flags)
+        self._count(opcode, operands, riscv_kind)
 
-    def emit(self, inst: Instruction,
-             riscv_kind: Optional[str] = None) -> None:
+    def _count(self, op: str, operands: tuple,
+               riscv_kind: Optional[str]) -> None:
         s = self.summary
-        op = inst.opcode
         s.instructions[op] += 1
-        n = isa.microop_count(inst, self.cfg)
+        n = isa.microop_count(op, operands)
         s.microops[op] += n
-        opsize = inst.get("OPsize", 1)
+        ch_i, is_mask, size_i, ro_i = _COUNT_PLAN[op]
+        opsize = 1 if size_i is None else operands[size_i]
+        if ch_i is not None:
+            chans = (isa.mask_channels(operands[ch_i]) if is_mask
+                     else (operands[ch_i],))
 
         if op in _BANK_ROW_OPS:
-            width = 1 if op == "WR_ABK" else opsize
-            for ch in self._channels_of(inst):
-                st = s.channels.setdefault(ch, ChannelStats())
-                st.col_cmds += width
+            ro = operands[ro_i]
+            for ch in chans:
+                st = self._stats(ch)
+                st.col_cmds += opsize
                 cur = self._open.get(ch)
                 if cur is None:
-                    self._open[ch] = self._first[ch] = [inst.RO, width]
-                elif cur[0] == inst.RO:
-                    cur[1] += width
+                    self._open[ch] = self._first[ch] = [ro, opsize]
+                elif cur[0] == ro:
+                    cur[1] += opsize
                 else:
                     if cur is not self._first[ch]:
                         st.bracket_hist[cur[1]] += 1
-                    self._open[ch] = [inst.RO, width]
+                    self._open[ch] = [ro, opsize]
         elif op == "WR_GB":
-            for ch in self._channels_of(inst):
-                s.channels.setdefault(ch, ChannelStats()).wr_gb += opsize
+            for ch in chans:
+                self._stats(ch).wr_gb += opsize
         elif op == "RD_MAC":
-            for ch in self._channels_of(inst):
-                s.channels.setdefault(ch, ChannelStats()).rd_mac += 1
+            for ch in chans:
+                self._stats(ch).rd_mac += 1
         elif op in ("EXP", "RED", "ACC", "RISCV"):
             s.pnm_microops += n
             if op == "RISCV":
@@ -372,6 +393,12 @@ class CountSink:
             s.cxl_sent_B += self.cfg.word_B
         elif op == "RECV_CXL":
             s.cxl_recv += 1
+
+    def _stats(self, ch: int) -> ChannelStats:
+        st = self.summary.channels.get(ch)
+        if st is None:
+            st = self.summary.channels[ch] = ChannelStats()
+        return st
 
     def append(self, seg: "CountSink") -> None:
         """Count the unfinished sink `seg` as if its instructions had
@@ -411,7 +438,10 @@ class CountSink:
 
 
 class ListSink(CountSink):
-    """Materializes the instruction stream alongside the counters."""
+    """Materializes the instruction stream alongside the counters:
+    `emit` builds each instruction with `isa.make_instruction` (which
+    range-checks it), counts its operands as `CountSink` does and keeps
+    it."""
 
     def __init__(self, device: int, cfg: ArchConfig):
         super().__init__(device, cfg)
@@ -426,9 +456,10 @@ class ListSink(CountSink):
         name, start = self._op_stack.pop()
         self.annotations.append((name, start, len(self.instructions)))
 
-    def emit(self, inst: Instruction,
-             riscv_kind: Optional[str] = None) -> None:
-        super().emit(inst, riscv_kind)
+    def emit(self, opcode: str, operands: tuple,
+             riscv_kind: Optional[str] = None, **flags) -> None:
+        inst = make_instruction(opcode, *operands, cfg=self.cfg, **flags)
+        self._count(opcode, inst.operands, riscv_kind)
         self.instructions.append(inst)
 
     def append(self, seg: "ListSink") -> None:
@@ -569,6 +600,10 @@ def build_layout(model: ModelSpec, plan: MappingPlan,
                     mark_zero(device, c, shared[full], n)
         return shared[full]
 
+    # the down projection's column order depends only on the gate
+    # placement's channels and rows, so blocks share one tuple each
+    col_perms: dict = {}
+
     blocks = []
     for a in plan.block_assignments:
         group = a.devices
@@ -602,12 +637,15 @@ def build_layout(model: ModelSpec, plan: MappingPlan,
         # order (per-channel group order), so its columns store permuted
         for di, dev in enumerate(group):
             gate = placements["gate"][dev]
-            perm = []
-            for c in gate.channels:
-                for j in gate.channel_groups(c):
-                    perm.extend(range(j * LANE,
-                                      min((j + 1) * LANE, gate.rows)))
-            placements["down"][dev].col_perm = tuple(perm)
+            key = (gate.channels, gate.rows)
+            if key not in col_perms:
+                perm = []
+                for c in gate.channels:
+                    for j in gate.channel_groups(c):
+                        perm.extend(range(j * LANE,
+                                          min((j + 1) * LANE, gate.rows)))
+                col_perms[key] = tuple(perm)
+            placements["down"][dev].col_perm = col_perms[key]
 
         mchans = a.channels[a.devices.index(master)]
         norm_ch = mchans[0]
@@ -678,7 +716,7 @@ class Emitter:
         self._routines: dict = {}       # (kind, params) -> pc
 
     def i(self, opcode: str, *ops, **kw) -> None:
-        self.sink.emit(make_instruction(opcode, *ops, cfg=self.cfg, **kw))
+        self.sink.emit(opcode, ops, **kw)
 
     def riscv(self, kind: str, opsize: int, rd: int, rs: int,
               params: tuple = ()) -> None:
@@ -687,8 +725,7 @@ class Emitter:
         if pc is None:
             pc = len(self._routines)
             self._routines[key] = pc
-        self.sink.emit(make_instruction("RISCV", opsize, pc, rd, rs,
-                                        cfg=self.cfg), riscv_kind=kind)
+        self.sink.emit("RISCV", (opsize, pc, rd, rs), riscv_kind=kind)
 
     def segment(self) -> "Emitter":
         """Emitter into a fresh sink of this one's class that shares this

@@ -152,6 +152,13 @@ class CostParams:
                 raise ConfigError(f"{name} must be positive")
 
 
+# geometry the lowering, the timing model and the interpreter hard-code
+# (16-lane words, 64-column rows, 32 accumulators, 16 banks); only the
+# field defaults are supported
+_FIXED_GEOMETRY = ("word_bits", "row_buffer_B", "acc_registers",
+                   "banks_per_channel")
+
+
 @dataclass(frozen=True)
 class ArchConfig:
     n_devices: int = 32
@@ -182,6 +189,11 @@ class ArchConfig:
                      "shared_buffer_B", "acc_registers", "n_scalar_cores"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name in _FIXED_GEOMETRY and value != f.default:
+                raise ConfigError(f"{f.name}={value} is not supported: the "
+                                  f"lowering assumes {f.default}")
 
     # -- derived geometry ----------------------------------------------------
 

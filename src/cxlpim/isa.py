@@ -102,11 +102,7 @@ class MicroOp:
 
 
 def _range_table(cfg: Optional[ArchConfig]) -> dict:
-    """Per-config operand bound table, built once and cached on the config."""
-    if cfg is not None:
-        cached = getattr(cfg, "_isa_ranges", None)
-        if cached is not None:
-            return cached
+    """Operand field name -> (inclusive lower, exclusive upper) bound."""
     cols = cfg.cols_per_row if cfg else 64
     rows = cfg.rows_per_bank if cfg else 16384
     slots = cfg.sb_slots if cfg else 2048
@@ -114,7 +110,7 @@ def _range_table(cfg: Optional[ArchConfig]) -> dict:
     chans = cfg.channels_per_device if cfg else 32
     regs = cfg.acc_registers if cfg else 32
     devs = cfg.n_devices if cfg else 256
-    table = {
+    return {
         "CHmask": (1, 1 << chans),
         "CHid":   (0, chans),
         "OPsize": (1, 1 << 16),
@@ -130,9 +126,6 @@ def _range_table(cfg: Optional[ArchConfig]) -> dict:
         "PC":     (0, 1 << 32),
         "GBslot": (0, cfg.gb_slots if cfg else 64),
     }
-    if cfg is not None:
-        object.__setattr__(cfg, "_isa_ranges", table)
-    return table
 
 
 def _field_range(name: str, cfg: Optional[ArchConfig]) -> tuple[int, int]:
@@ -140,20 +133,39 @@ def _field_range(name: str, cfg: Optional[ArchConfig]) -> tuple[int, int]:
     return _range_table(cfg)[name]
 
 
-def make_instruction(opcode: str, *operands: int, source_select: str = "GB",
-                     copy_bank: int = 0, red_mode: str = "SUM",
-                     cfg: Optional[ArchConfig] = None) -> Instruction:
-    if opcode not in OPCODE_FIELDS:
+def _operand_bounds(cfg: Optional[ArchConfig]) -> dict:
+    """opcode -> ((name, lo, hi), ...) in operand order, built once per
+    config and cached on it."""
+    if cfg is not None:
+        cached = getattr(cfg, "_isa_bounds", None)
+        if cached is not None:
+            return cached
+    table = _range_table(cfg)
+    # WR_GB's CO indexes Global Buffer slots, not DRAM columns
+    bounds = {op: tuple((name, *table["GBslot" if op == "WR_GB"
+                                      and name == "CO" else name])
+                        for name in fields)
+              for op, fields in OPCODE_FIELDS.items()}
+    if cfg is not None:
+        object.__setattr__(cfg, "_isa_bounds", bounds)
+    return bounds
+
+
+def check_operands(opcode: str, operands: tuple, *, source_select: str = "GB",
+                   copy_bank: int = 0, red_mode: str = "SUM",
+                   cfg: Optional[ArchConfig] = None) -> None:
+    """Raise IsaError unless `opcode` is known and `operands` (in
+    assembly order) and the flags are in range. `copy_bank` takes any
+    value; it is accepted so that callers can pass make_instruction's
+    keywords through unchanged."""
+    bounds = _operand_bounds(cfg).get(opcode)
+    if bounds is None:
         raise IsaError(f"unknown mnemonic: {opcode}")
-    fields = OPCODE_FIELDS[opcode]
-    if len(operands) != len(fields):
+    if len(operands) != len(bounds):
+        fields = OPCODE_FIELDS[opcode]
         raise IsaError(f"{opcode}: expected {len(fields)} operands "
                        f"({' '.join(fields)}), got {len(operands)}")
-    table = _range_table(cfg)
-    for name, value in zip(fields, operands):
-        # WR_GB's CO indexes Global Buffer slots, not DRAM columns
-        lo, hi = table["GBslot" if opcode == "WR_GB" and name == "CO"
-                       else name]
+    for (name, lo, hi), value in zip(bounds, operands):
         if not lo <= value < hi:
             raise IsaError(
                 f"{opcode}: operand {name}={value} out of range [{lo}, {hi})")
@@ -161,6 +173,13 @@ def make_instruction(opcode: str, *operands: int, source_select: str = "GB",
         raise IsaError(f"MAC_ABK source must be GB or BANK, got {source_select}")
     if red_mode not in ("SUM", "MAX"):
         raise IsaError(f"RED mode must be SUM or MAX, got {red_mode}")
+
+
+def make_instruction(opcode: str, *operands: int, source_select: str = "GB",
+                     copy_bank: int = 0, red_mode: str = "SUM",
+                     cfg: Optional[ArchConfig] = None) -> Instruction:
+    check_operands(opcode, operands, source_select=source_select,
+                   copy_bank=copy_bank, red_mode=red_mode, cfg=cfg)
     return Instruction(opcode, tuple(int(v) for v in operands),
                        source_select=source_select, copy_bank=int(copy_bank),
                        red_mode=red_mode)
@@ -233,6 +252,8 @@ def format_instruction(inst: Instruction) -> str:
 
 
 def mask_channels(mask: int) -> list[int]:
+    if not mask & (mask - 1):  # one channel (or none): most masks
+        return [mask.bit_length() - 1] if mask else []
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
@@ -292,24 +313,20 @@ def expand_microops(inst: Instruction, cfg: ArchConfig) -> list[MicroOp]:
     return [MicroOp(op, None, (), None, None, slot, 0)]
 
 
-def microop_count(inst: Instruction, cfg: ArchConfig) -> int:
+def microop_count(opcode: str, operands: tuple) -> int:
     """Micro-op count by formula, without materializing the expansion."""
-    op = inst.opcode
-    opsize = inst.get("OPsize", 1)
-    if "CHmask" in OPCODE_FIELDS[op]:
-        pop = bin(inst.CHmask).count("1")
-        if op in ("MAC_ABK", "EW_MUL", "COPY_BKGB", "COPY_GBBK", "WR_GB"):
+    idx = FIELD_INDEX[opcode]
+    i = idx.get("OPsize")
+    opsize = 1 if i is None else operands[i]
+    if "CHmask" in idx:
+        pop = operands[idx["CHmask"]].bit_count()
+        if opcode in ("MAC_ABK", "EW_MUL", "COPY_BKGB", "COPY_GBBK", "WR_GB"):
             return opsize * pop
         return pop
-    if op in ("WR_SBK", "RD_SBK"):
-        return opsize
-    if op == "WR_ABK":
-        return 1
-    if op == "RED":
+    if opcode == "RED":
         return (opsize + RED_TREES - 1) // RED_TREES
-    if op in ("EXP", "ACC", "RISCV"):
-        return opsize
-    return 1
+    # WR_SBK, RD_SBK, EXP, ACC and RISCV walk OPsize; the rest is one
+    return opsize
 
 
 @dataclass(frozen=True)
@@ -346,10 +363,10 @@ def validate_trace(trace, cfg: ArchConfig) -> ValidationReport:
     for dev, insts in per_device.items():
         for idx, inst in enumerate(insts):
             try:
-                make_instruction(inst.opcode, *inst.operands,
-                                 source_select=inst.source_select,
-                                 copy_bank=inst.copy_bank,
-                                 red_mode=inst.red_mode, cfg=cfg)
+                check_operands(inst.opcode, inst.operands,
+                               source_select=inst.source_select,
+                               copy_bank=inst.copy_bank,
+                               red_mode=inst.red_mode, cfg=cfg)
                 expand_microops(inst, cfg)
             except IsaError as e:
                 report.findings.append(Finding(dev, idx, "range", str(e)))

@@ -48,7 +48,7 @@ def test_verify_two_device_pipeline_passes(capsys):
     # CompileError: 256 rows do not split over tp=3
     ["simulate", "--model", "toy", "--strategy", "hybrid", "--tp", "3",
      "--prefill", "0", "--decode", "16"],
-    # IsaError: the lowering addresses 32 accumulation registers
+    # ConfigError at load: the lowering addresses 32 accumulation registers
     ["simulate", "--model", "toy", "--set", "arch.acc_registers=16",
      "--prefill", "0", "--decode", "16"],
 ])
@@ -56,6 +56,18 @@ def test_lowering_errors_exit_2_with_one_line(argv, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unsupported_geometry_rejected_at_load(capsys):
+    # the lowering hard-codes 64-column (2 KB) rows; a wider row buffer
+    # used to run and print the default's numbers
+    rc = cli.main(["simulate", "--model", "toy", "--set",
+                   "arch.row_buffer_B=4096", "--prefill", "0",
+                   "--decode", "16"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: row_buffer_B=4096 is not supported: the lowering "
+        "assumes 2048\n")
 
 
 def test_functional_simulation_error_exits_2(monkeypatch, capsys):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cxlpim.config import ArchConfig, ModelSpec
-from cxlpim.isa import make_instruction, validate_trace
+from cxlpim.isa import IsaError, make_instruction, validate_trace
 from cxlpim.mapper import plan_hybrid, plan_pipeline, plan_tensor
 from cxlpim import compiler
 from cxlpim.compiler import (
@@ -30,6 +30,13 @@ def gemv_placement(rows, cols, channels=(0,), base_row=0):
     return TensorPlacement(name="w", kind=KIND_GEMV, device=0,
                            channels=tuple(channels), rows=rows, cols=cols,
                            base_row=base_row)
+
+
+def _emit(sink, inst, riscv_kind=None):
+    """Emit a materialized instruction into `sink` as the lowering does."""
+    sink.emit(inst.opcode, inst.operands, riscv_kind=riscv_kind,
+              source_select=inst.source_select, copy_bank=inst.copy_bank,
+              red_mode=inst.red_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +329,7 @@ def test_token_summaries_recount_one_instruction_at_a_time(n_devices):
             for inst in t.instructions:
                 kind = (t.routines[inst.PC][0] if inst.opcode == "RISCV"
                         else None)
-                sink.emit(inst, riscv_kind=kind)
+                _emit(sink, inst, riscv_kind=kind)
             assert sink.finish().to_dict() == t.summary.to_dict(), pos
 
 
@@ -421,6 +428,33 @@ def test_tensor_parallel_compiles_and_gathers():
 
 
 # ---------------------------------------------------------------------------
+# operand checks in the sinks
+
+@pytest.mark.parametrize("opcode, operands, flags", [
+    ("MAC_AB", (1, 4, 0, 0, 0), {}),                       # unknown opcode
+    ("MAC_ABK", (1, 4, 0, 0), {}),                         # operand count
+    ("MAC_ABK", (1, 4, ARCH.rows_per_bank, 0, 0), {}),     # RO
+    ("RD_MAC", (0, 40, 0), {}),                            # empty CHmask
+    ("WR_GB", (1, 1, ARCH.gb_slots, 0), {}),               # GB slot
+    ("RED", (4, 0, 8), {"red_mode": "MIN"}),
+    ("MAC_ABK", (1, 4, 0, 0, 0), {"source_select": "DRAM"}),
+])
+def test_sinks_reject_malformed_operands_like_make_instruction(
+        opcode, operands, flags):
+    with pytest.raises(IsaError) as built:
+        make_instruction(opcode, *operands, cfg=ARCH, **flags)
+    for cls in (CountSink, ListSink):
+        sink = cls(0, ARCH)
+        _emit(sink, make_instruction("MAC_ABK", 1, 4, 5, 0, 0))
+        before = sink.summary.to_dict()
+        with pytest.raises(IsaError) as emitted:
+            sink.emit(opcode, operands, **flags)
+        assert str(emitted.value) == str(built.value), cls
+        assert sink.summary.to_dict() == before, cls
+        assert sink._open == {0: [5, 4]}, cls
+
+
+# ---------------------------------------------------------------------------
 # composing counting summaries
 
 def _mac(ch, row, cols):
@@ -434,8 +468,8 @@ def _composed_and_whole(segments):
     for seg in segments:
         part = CountSink(0, ARCH)
         for inst in seg:
-            whole.emit(inst)
-            part.emit(inst)
+            _emit(whole, inst)
+            _emit(part, inst)
         composed.append(part)
     return composed.finish(), whole.finish()
 
@@ -484,13 +518,13 @@ def test_append_leaves_segment_reusable():
     for name, insts in segs.items():
         parts[name] = CountSink(0, ARCH)
         for inst in insts:
-            parts[name].emit(inst)
+            _emit(parts[name], inst)
     stream = ["single", _mac(0, 6, 1), "part", "single", _mac(0, 9, 1),
               "single", _mac(0, 6, 1), "part"]
     whole = CountSink(0, ARCH)
     for x in stream:
         for inst in segs[x] if isinstance(x, str) else [x]:
-            whole.emit(inst)
+            _emit(whole, inst)
     expected = whole.finish().to_dict()
     for _ in range(2):
         sink = CountSink(0, ARCH)
@@ -498,7 +532,7 @@ def test_append_leaves_segment_reusable():
             if isinstance(x, str):
                 sink.append(parts[x])
             else:
-                sink.emit(x)
+                _emit(sink, x)
         assert sink.finish().to_dict() == expected
 
 

@@ -90,6 +90,17 @@ def test_derived_throughput_and_bandwidth():
     assert abs(arch.fleet_internal_bandwidth_Bps / 512e12 - 1) < 0.03
 
 
+@pytest.mark.parametrize("name, value, assumed", [
+    ("word_bits", 512, 256), ("row_buffer_B", 4096, 2048),
+    ("acc_registers", 16, 32), ("banks_per_channel", 8, 16)])
+def test_hard_coded_geometry_rejected(name, value, assumed):
+    with pytest.raises(ConfigError,
+                       match=f"{name}={value} .* assumes {assumed}$"):
+        ArchConfig(**{name: value})
+    with pytest.raises(ConfigError, match=name):
+        apply_overrides(ArchConfig(), {name: str(value)})
+
+
 def test_apply_overrides_nested():
     arch = ArchConfig()
     arch2 = apply_overrides(arch, {"timing.tRP_ns": "20", "n_devices": "8"})

@@ -113,7 +113,7 @@ def test_microop_count_invariant():
             continue
         opsize = inst.get("OPsize", 1)
         fields = OPCODE_FIELDS[inst.opcode]
-        assert len(ops) == isa.microop_count(inst, CFG)
+        assert len(ops) == isa.microop_count(inst.opcode, inst.operands)
         if "CHmask" in fields and inst.opcode in (
                 "MAC_ABK", "EW_MUL", "COPY_BKGB", "COPY_GBBK", "WR_GB"):
             assert len(ops) == opsize * bin(inst.CHmask).count("1")

@@ -320,7 +320,7 @@ def test_gemv_work_conservation():
         name="w", kind=compiler.KIND_GEMV, device=0, channels=(0,),
         rows=16, cols=1024, base_row=0)
     insts = compiler.lower_gemv(16, 1024, pl, vec_slot=0, cfg=ARCH)
-    mac = sum(isa.microop_count(i, ARCH) for i in insts
+    mac = sum(isa.microop_count(i.opcode, i.operands) for i in insts
               if i.opcode == "MAC_ABK")
     assert mac * 16 * 32 == 2 * 16 * 1024
 
