@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Print the sha256 of every output file of a fixed set of simulator runs.
+
+The runs are `cxlpim simulate --out` on:
+
+  * llama2-70B pipelined (prefill 512, decode 3584, seq-gap 512),
+  * llama2-70B tensor parallel (seq-gap 128),
+  * llama2-70B hybrid tp4 x pp8 (seq-gap 512),
+  * llama2-70B scaled over 16 devices (context 2048, seq-gap 512),
+  * llama2-7B pipelined over 8 devices (seq-gap 128),
+
+and `cxlpim sweep` over a small spec list. Each runs in this process
+through `cli.main`, against the `src/` next to this script, so two
+checkouts can be compared line by line:
+
+    python3 scripts/output_digests.py OUT_A > a.txt   # in checkout A
+    python3 scripts/output_digests.py OUT_B > b.txt   # in checkout B
+    diff a.txt b.txt
+
+Each line is `sha256  path`, with the path relative to the output
+directory. What the runs print, and the seconds each took, go to
+stderr.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import json
+import sys
+from pathlib import Path
+from time import perf_counter
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from cxlpim import cli  # noqa: E402
+
+SIMULATE = {
+    "pp70b": ["--model", "llama2_70b", "--strategy", "pp",
+              "--prefill", "512", "--decode", "3584", "--seq-gap", "512"],
+    "tp70b": ["--model", "llama2_70b", "--strategy", "tp",
+              "--seq-gap", "128"],
+    "hybrid70b": ["--model", "llama2_70b", "--strategy", "hybrid",
+                  "--tp", "4", "--pp", "8", "--seq-gap", "512"],
+    "scaled70b-16": ["--model", "llama2_70b", "--strategy", "scaled",
+                     "--devices", "16", "--context", "2048",
+                     "--seq-gap", "512"],
+    "pp7b-8": ["--model", "llama2_7b", "--strategy", "pp",
+               "--devices", "8", "--seq-gap", "128"],
+}
+
+SWEEP = [
+    {"model": "toy", "prefill": 16, "decode": 48, "seq_gap": 1},
+    {"model": "toy", "devices": 2, "prefill": 8, "decode": 56,
+     "seq_gap": 5},
+    {"model": "llama2_13b", "strategy": "pp", "prefill": 0,
+     "decode": 4096, "seq_gap": 4096},
+    {"model": "llama2_70b", "strategy": "hybrid", "tp": 8, "pp": 4,
+     "prefill": 0, "decode": 4096, "seq_gap": 4096},
+]
+
+
+def _run(argv: list) -> None:
+    t = perf_counter()
+    with contextlib.redirect_stdout(sys.stderr):
+        code = cli.main(argv)
+    print(f"{argv[0]} {' '.join(argv[1:3])}: exit {code}, "
+          f"{perf_counter() - t:.2f} s", file=sys.stderr)
+    if code != 0:
+        raise SystemExit(f"cxlpim {' '.join(argv)} exited {code}")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", help="directory for the run outputs")
+    args = ap.parse_args(argv)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+
+    for name, run in SIMULATE.items():
+        _run(["simulate", *run, "--out", str(out / name)])
+    spec = out / "sweep_spec.json"
+    spec.write_text(json.dumps(SWEEP, indent=1) + "\n")
+    _run(["sweep", "--spec", str(spec), "--out", str(out / "sweep.csv")])
+
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -37,13 +37,23 @@ the score x V pass) reads only the KV head's placement, the position
 and the channel's scratch row, so it is lowered once per KV head and
 position into a segment sink and appended for each of its query heads,
 in list and count mode alike.
+
+Across a tensor-parallel group, the devices other than the master mostly
+run the same per-device pieces: their GEMV shares, the fused gate/up
+pass, the RECV_CXL runs of broadcasts and gathers, and the SEND_CXL run
+of the down-projection gather. BlockLowering lowers each distinct piece
+once, keyed by everything its lowering reads, and appends it to every
+device whose piece has that key. A llama2-70B TP block emits about 16k
+of the 260k instructions its 32 devices count. Shared pieces emit no
+RISCV, because PCs index each device's own routine table.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -124,6 +134,12 @@ class TensorPlacement:
             self.tile_row_offsets.append(off)
             off += -(-per_ch // self.runs_per_row)
         self.rows_needed = off
+
+    @property
+    def geometry(self) -> tuple:
+        """The fields a GEMV over this placement reads (channels, rows,
+        cols, base_row); everything else it reads derives from them."""
+        return self.channels, self.rows, self.cols, self.base_row
 
     def group_channel(self, j: int) -> tuple[int, int]:
         """(channel id, local index) of row group j."""
@@ -556,17 +572,22 @@ class Layout:
 
 
 class _RowAlloc:
+    """Next free DRAM row of every channel, per device. A region spans
+    its channels from the highest of their next free rows."""
+
     def __init__(self, rows_per_bank: int):
-        self.cursor: dict = {}
+        self.cursor: defaultdict = defaultdict(Counter)   # dev -> ch -> row
         self.limit = rows_per_bank
 
     def take(self, device: int, channels, n: int) -> int:
-        base = max(self.cursor.get((device, c), 0) for c in channels)
+        rows = self.cursor[device]
+        base = max(map(rows.__getitem__, channels))
         if base + n > self.limit:
             raise CompileError(f"device {device}: DRAM rows exhausted "
                                f"({base + n} > {self.limit})")
-        for c in channels:
-            self.cursor[(device, c)] = base + n
+        if n:
+            for c in channels:
+                rows[c] = base + n
         return base
 
 
@@ -628,7 +649,7 @@ def build_layout(model: ModelSpec, plan: MappingPlan,
                     name=name, kind=KIND_GEMV, device=dev, channels=chans,
                     rows=split_rows,
                     cols=cols // tp if name == "down" else cols,
-                    base_row=alloc.take(dev, chans, 0),
+                    base_row=0,
                     row_offset=0 if name == "down" else di * split_rows,
                     col_offset=di * cols // tp if name == "down" else 0)
                 pl.base_row = alloc.take(dev, chans, pl.rows_needed)
@@ -729,7 +750,8 @@ class Emitter:
 
     def segment(self) -> "Emitter":
         """Emitter into a fresh sink of this one's class that shares this
-        emitter's routine table, for a segment appended here later."""
+        emitter's routine table, for a segment appended here later (or,
+        if it emits no RISCV, to other devices' sinks as well)."""
         seg = Emitter(type(self.sink)(self.sink.device, self.cfg), self.cfg)
         seg._routines = self._routines
         return seg
@@ -809,7 +831,17 @@ def emit_gemv(em: Emitter, jobs: list[GemvJob], vec_src: tuple,
 # block lowering
 
 class BlockLowering:
-    """Emits one transformer block for one token position."""
+    """Emits one transformer block for one token position.
+
+    In a tensor-parallel group most devices run the same per-device
+    pieces: a GEMV share, the fused gate/up pass, runs of RECV_CXL and
+    the SEND_CXL run of the down-projection gather. `_shared` lowers
+    each distinct piece once into a segment sink, keyed by everything
+    its lowering reads, and appends it to every device whose piece has
+    that key. The memo lives only as long as this object (one block at
+    one position, or one block segment). A shared piece emits no RISCV,
+    because PCs index each device's own routine table.
+    """
 
     def __init__(self, layout: Layout, bl: BlockLayout, position: int,
                  emitters: dict):
@@ -823,6 +855,7 @@ class BlockLowering:
         self.tp = len(bl.tp_group)
         self.master = bl.master
         self.me = emitters[bl.master]
+        self._pieces: dict = {}                  # key -> segment sink
 
     def _begin(self, name: str) -> None:
         for d in self.bl.tp_group:
@@ -835,6 +868,33 @@ class BlockLowering:
     def _d_slots(self) -> int:
         return slots_of(self.model.d_model)
 
+    # -- per-device pieces shared across a tensor-parallel group ----------
+
+    def _shared(self, dev: int, key: tuple, lower) -> None:
+        """Append to `dev`'s sink what `lower(emitter)` emits. It is
+        lowered into a segment on the first device with this `key`,
+        which must hold everything `lower` reads, and appended as is for
+        every later one."""
+        seg = self._pieces.get(key)
+        if seg is None:
+            em = self.em[dev].segment()
+            lower(em)
+            seg = self._pieces[key] = em.sink
+            assert "RISCV" not in seg.summary.instructions, key
+        self.em[dev].sink.append(seg)
+
+    def _gemv(self, dev: int, jobs: list[GemvJob], vec_src: tuple) -> None:
+        zero = self.sb.zero
+        key = ("gemv", tuple((j.placement.geometry, j.out_base, j.af)
+                             for j in jobs), vec_src, zero)
+        self._shared(dev, key, lambda em: emit_gemv(em, jobs, vec_src, zero))
+
+    def _recv(self, dev: int, n: int) -> None:
+        def lower(em):
+            for _ in range(n):
+                em.i("RECV_CXL")
+        self._shared(dev, ("RECV_CXL", n), lower)
+
     # -- collectives -------------------------------------------------------
 
     def _bcast(self, base: int, n: int) -> None:
@@ -845,11 +905,11 @@ class BlockLowering:
             self.me.i("BCAST_CXL", self.tp - 1, base + i, base + i)
         for dev in self.bl.tp_group:
             if dev != self.master:
-                for _ in range(n):
-                    self.em[dev].i("RECV_CXL")
+                self._recv(dev, n)
 
     def _gather(self, name: str, out: int, sender_base: int) -> None:
-        """Non-masters send their output shares to the master's slots."""
+        """Non-masters send their output shares to the master's slots.
+        The sends name each share's own rows, so they are not shared."""
         if self.tp == 1:
             return
         for dev in self.bl.tp_group:
@@ -860,8 +920,7 @@ class BlockLowering:
             for g in range(pl.n_groups):
                 self.em[dev].i("SEND_CXL", self.master, sender_base + g,
                                out + first + g)
-            for _ in range(pl.n_groups):
-                self.me.i("RECV_CXL")
+            self._recv(self.master, pl.n_groups)
 
     def _gather_accumulate(self, out: int, sender_base: int) -> None:
         """Down-projection partial sums: stage each sender's full vector
@@ -870,16 +929,18 @@ class BlockLowering:
         never block mid-batch), so the shared staging is race-free."""
         if self.tp == 1:
             return
-        n = self._d_slots()
-        for dev in self.bl.tp_group:
-            if dev == self.master:
-                continue
+        n, master, stage = self._d_slots(), self.master, self.sb.rms
+
+        def send(em):
             for g in range(n):
-                self.em[dev].i("SEND_CXL", self.master, sender_base + g,
-                               self.sb.rms + g)
-            for _ in range(n):
-                self.me.i("RECV_CXL")
-            self.me.i("ACC", n, out, self.sb.rms)
+                em.i("SEND_CXL", master, sender_base + g, stage + g)
+        for dev in self.bl.tp_group:
+            if dev == master:
+                continue
+            self._shared(dev, ("SEND_CXL", master, sender_base, stage, n),
+                         send)
+            self._recv(master, n)
+            self.me.i("ACC", n, out, stage)
 
     # -- block segments ----------------------------------------------------
     # A block is before_core, attention_core, after_core. Only the core
@@ -984,7 +1045,7 @@ class BlockLowering:
     def qkv(self) -> None:
         """Opens the attention operator: the fused Q/K/V projections."""
         self._begin("attention")
-        m, sb, em = self.model, self.sb, self.me
+        m, sb = self.model, self.sb
         kvS = slots_of(m.n_kv_heads * m.d_head)
         if self.tp == 1:
             jobs = [GemvJob(self.bl.placements["q"][self.master], sb.qkv),
@@ -992,7 +1053,7 @@ class BlockLowering:
                             sb.kv_new),
                     GemvJob(self.bl.placements["v"][self.master],
                             sb.kv_new + kvS)]
-            emit_gemv(em, jobs, ("SB", sb.rms), sb.zero)
+            self._gemv(self.master, jobs, ("SB", sb.rms))
         else:
             for name, out in (("q", sb.qkv), ("k", sb.kv_new),
                               ("v", sb.kv_new + kvS)):
@@ -1001,8 +1062,7 @@ class BlockLowering:
                     pl = self.bl.placements[name][dev]
                     base = ((out + pl.row_offset // LANE)
                             if dev == self.master else sb.qkv)
-                    emit_gemv(self.em[dev], [GemvJob(pl, base)],
-                              ("SB", sb.rms), sb.zero)
+                    self._gemv(dev, [GemvJob(pl, base)], ("SB", sb.rms))
                 self._gather(name, out, sb.qkv)
 
     def attention_core(self) -> None:
@@ -1041,20 +1101,16 @@ class BlockLowering:
     def o_proj(self) -> None:
         """Output projection over the concatenated head outputs and the
         residual add; closes the attention operator."""
-        sb, em = self.sb, self.me
-        if self.tp == 1:
-            emit_gemv(em, [GemvJob(self.bl.placements["o"][self.master],
-                                   sb.qkv)], ("SB", sb.rms), sb.zero)
-        else:
+        sb = self.sb
+        if self.tp > 1:
             self._bcast(sb.rms, self._d_slots())
-            for dev in self.bl.tp_group:
-                pl = self.bl.placements["o"][dev]
-                base = ((sb.qkv + pl.row_offset // LANE)
-                        if dev == self.master else sb.qkv)
-                emit_gemv(self.em[dev], [GemvJob(pl, base)],
-                          ("SB", sb.rms), sb.zero)
-            self._gather("o", sb.qkv, sb.qkv)
-        em.i("ACC", self._d_slots(), sb.hidden, sb.qkv)
+        for dev in self.bl.tp_group:
+            pl = self.bl.placements["o"][dev]
+            base = ((sb.qkv + pl.row_offset // LANE)
+                    if dev == self.master else sb.qkv)
+            self._gemv(dev, [GemvJob(pl, base)], ("SB", sb.rms))
+        self._gather("o", sb.qkv, sb.qkv)
+        self.me.i("ACC", self._d_slots(), sb.hidden, sb.qkv)
         self._end()
 
     def _softmax_slots(self) -> tuple[int, int, int, int, int]:
@@ -1147,24 +1203,30 @@ class BlockLowering:
         for dev in self.bl.tp_group:
             self._ffn_gate_up(dev)
         for dev in self.bl.tp_group:
-            emit_gemv(self.em[dev],
-                      [GemvJob(self.bl.placements["down"][dev], sb.qkv)],
-                      ("BK", self.bl.gated_scratch_row[dev]), sb.zero)
+            self._gemv(dev,
+                       [GemvJob(self.bl.placements["down"][dev], sb.qkv)],
+                       ("BK", self.bl.gated_scratch_row[dev]))
         self._gather_accumulate(sb.qkv, sb.qkv)
         self.me.i("ACC", self._d_slots(), sb.hidden, sb.qkv)
         self._end()
 
     def _ffn_gate_up(self, dev: int) -> None:
+        gate = self.bl.placements["gate"][dev]
+        up = self.bl.placements["up"][dev]
+        ew_row = self.bl.ewmul_row[dev]
+        gbase = self.bl.gated_scratch_row[dev]
+        self._shared(dev, ("gate_up", gate.geometry, up.geometry, ew_row,
+                           gbase),
+                     lambda em: self._lower_gate_up(em, gate, up, ew_row,
+                                                    gbase))
+
+    def _lower_gate_up(self, em: Emitter, gate: TensorPlacement,
+                       up: TensorPlacement, ew_row: int, gbase: int) -> None:
         """Fused gate/up pass: 16+16 matched row groups fill all 32
         accumulation registers, SiLU lands in-register via AF, gate x up
         runs on a bank-group triple, and the gated chunk is staged into
         every channel's gated scratch rows for the down projection."""
         sb = self.sb
-        em = self.em[dev]
-        gate = self.bl.placements["gate"][dev]
-        up = self.bl.placements["up"][dev]
-        ew_row = self.bl.ewmul_row[dev]
-        gbase = self.bl.gated_scratch_row[dev]
         half = REGS // 2
         tg, tu = sb.tmp + 16, sb.tmp + 16 + half
 
@@ -1425,6 +1487,21 @@ class BlockClassSummary:
     device_summaries: dict       # role index within tp_group -> summary
 
 
+def layout_mismatch(layout: Layout, model: ModelSpec, plan: MappingPlan,
+                    arch: ArchConfig) -> Optional[str]:
+    """Why `layout` was not built for `model`, `plan` and `arch`, or
+    None if it was."""
+    for kind, built, given in (("model", layout.model, model),
+                               ("plan", layout.plan, plan),
+                               ("arch", layout.arch, arch)):
+        if built is not given and built != given:
+            fields = [f.name for f in dataclasses.fields(given)
+                      if getattr(built, f.name) != getattr(given, f.name)]
+            return (f"layout was built for another {kind} (differs in "
+                    f"{', '.join(fields)})")
+    return None
+
+
 def block_summaries(model: ModelSpec, plan: MappingPlan, arch: ArchConfig,
                     token_pos: int, layout: Optional[Layout] = None
                     ) -> list[BlockClassSummary]:
@@ -1435,14 +1512,22 @@ def block_summaries(model: ModelSpec, plan: MappingPlan, arch: ArchConfig,
     `BlockLowering.attention_core` reads the position, so the segments
     before and after it lower to the same instructions at every
     position. They are lowered once per layout and class, on first use,
-    and kept as unfinished CountSinks in `layout.invariant_segments`;
-    `arch` must be the one `layout` was built with. Each call lowers
-    only the core at `token_pos` and composes the three segments with
-    `CountSink.append`, which gives exactly the summary of lowering the
-    whole block into one CountSink. The returned summaries are new
+    and kept as unfinished CountSinks in `layout.invariant_segments`, so
+    a `layout` built for another model, plan or arch raises
+    CompileError. Each call lowers only the core at `token_pos` and
+    composes the three segments with `CountSink.append`, which gives
+    exactly the summary of lowering the whole block into one CountSink.
+    Inside each segment, the pieces that several devices of a
+    tensor-parallel group run alike are lowered once and appended to
+    each of them (see `BlockLowering`). The returned summaries are new
     objects that the caller may change.
     """
-    layout = layout or build_layout(model, plan, arch)
+    if layout is None:
+        layout = build_layout(model, plan, arch)
+    else:
+        mismatch = layout_mismatch(layout, model, plan, arch)
+        if mismatch:
+            raise CompileError(mismatch)
     classes: dict = {}
     order = []
     for bl in layout.blocks:

@@ -8,10 +8,10 @@ Three layers, each usable on its own:
     validated instead of scheduled.
   * closed_form_gemv_latency: analytic oracle for row-per-bank GEMV
     streams; simulate_channel must agree with it exactly.
-  * simulate_system: composes compiled per-block activity summaries
-    with CXL transfer times into per-token and per-query latencies,
-    steady-state throughput, and the activity counts consumed by the
-    energy model.
+  * simulate_system: composes compiled activity summaries, one per
+    structure class of blocks, with CXL transfer times into per-token
+    and per-query latencies, steady-state throughput, and the activity
+    counts consumed by the energy model.
 """
 
 import csv
@@ -369,20 +369,35 @@ class _TokenProfile:
     dispatch: float = 0.0
     cxl: float = 0.0
     counts: Counter = field(default_factory=Counter)
-    util: dict = field(default_factory=dict)
+    classes: dict = field(default_factory=dict)   # structure key -> class
 
 
 def _token_profile(layout, plan: MappingPlan, arch: ArchConfig,
                    pos: int) -> _TokenProfile:
-    """Latency and activity of one forward pass at token position `pos`,
-    measured on replica 0; replicas are identical by construction."""
+    """Latency and activity of one forward pass at token position `pos`.
+
+    Composed per structure class: each role's device times and activity
+    counts are taken once per class. Latency walks replica 0's blocks
+    in order, adding each block's class times, so the float sums are
+    those of a per-block walk; replicas are identical by construction.
+    Activity counts cover every replica: they are integers, so each
+    class's counts are multiplied by its block count."""
     t = arch.timing
     classes = compiler.block_summaries(layout.model, plan, arch, pos, layout)
     by_key = {compiler._structure_key(c.representative): c for c in classes}
-    role_times = {}
+    prof = _TokenProfile(classes=by_key)
+    class_times = {}
     for key, cls in by_key.items():
-        role_times[key] = {di: device_times(s, t, arch.pnm_clock_Hz)
-                           for di, s in cls.device_summaries.items()}
+        times = [device_times(s, t, arch.pnm_clock_Hz)
+                 for s in cls.device_summaries.values()]
+        worst = max(times, key=lambda d: d["pim"] + d["pnm"] + d["dispatch"])
+        class_times[key] = (worst, worst["pim"] + worst["pnm"]
+                            + worst["dispatch"])
+        counts = Counter()
+        for s in cls.device_summaries.values():
+            _merge_counts(counts, s)
+        for k, v in counts.items():
+            prof.counts[k] += v * cls.count
 
     # replicas reuse block ids; keep replica 0's events only
     rep0 = {d for a in plan.block_assignments if a.replica == 0
@@ -392,17 +407,10 @@ def _token_profile(layout, plan: MappingPlan, arch: ArchConfig,
         if ev.source in rep0:
             events_by_block.setdefault(ev.block, []).append(ev)
 
-    prof = _TokenProfile()
     stage_ns: dict = {}
-    busy: dict = {}
     for bl in layout.blocks:
-        key = compiler._structure_key(bl)
-        cls = by_key[key]
         if bl.replica == 0:
-            times = role_times[key]
-            worst = max(times.values(),
-                        key=lambda d: d["pim"] + d["pnm"] + d["dispatch"])
-            compute = worst["pim"] + worst["pnm"] + worst["dispatch"]
+            worst, compute = class_times[compiler._structure_key(bl)]
             cxl = 0.0
             for ev in events_by_block.get(bl.block, []):
                 if ev.kind == "SEND" and ev.label == "boundary":
@@ -421,17 +429,6 @@ def _token_profile(layout, plan: MappingPlan, arch: ArchConfig,
             prof.dispatch += worst["dispatch"]
             prof.cxl += cxl
             stage_ns[bl.master] = stage_ns.get(bl.master, 0.0) + compute + cxl
-            for di, dev in enumerate(bl.tp_group):
-                summ = cls.device_summaries[di]
-                chan_map = dict(zip(cls.representative.assignment.channels[di],
-                                    bl.assignment.channels[di]))
-                dbusy = busy.setdefault(dev, {})
-                for ch_rep, st in summ.channels.items():
-                    ch = chan_map.get(ch_rep, ch_rep)
-                    dbusy[ch] = dbusy.get(ch, 0.0) + channel_busy_ns(st, t)
-        # activity counts cover every replica (energy is fleet-wide)
-        for di in range(len(bl.tp_group)):
-            _merge_counts(prof.counts, cls.device_summaries[di])
     # boundary handoffs counted for all replicas
     word = layout.arch.word_B
     n_slots = compiler.slots_of(layout.model.d_model)
@@ -440,8 +437,31 @@ def _token_profile(layout, plan: MappingPlan, arch: ArchConfig,
     prof.counts["CXL_B"] += n_boundaries * n_slots * word
 
     prof.step_ns = max(stage_ns.values(), default=prof.token_ns)
-    prof.util = {dev: dict(chs) for dev, chs in busy.items()}
     return prof
+
+
+def _channel_busy(layout, classes: dict, t: TimingParams) -> dict:
+    """Busy ns of every channel of replica 0's devices over one forward
+    pass: device -> {channel: ns}. Each (class, role, channel) is timed
+    once, and the values are added per block in block order."""
+    role_busy = {
+        key: [{ch: channel_busy_ns(st, t) for ch, st in s.channels.items()}
+              for s in cls.device_summaries.values()]
+        for key, cls in classes.items()}
+    busy: dict = {}
+    for bl in layout.blocks:
+        if bl.replica != 0:
+            continue
+        key = compiler._structure_key(bl)
+        rep = classes[key].representative
+        for di, dev in enumerate(bl.tp_group):
+            chan_map = dict(zip(rep.assignment.channels[di],
+                                bl.assignment.channels[di]))
+            dbusy = busy.setdefault(dev, {})
+            for ch_rep, ns in role_busy[key][di].items():
+                ch = chan_map.get(ch_rep, ch_rep)
+                dbusy[ch] = dbusy.get(ch, 0.0) + ns
+    return busy
 
 
 def _sample_positions(start: int, n: int, gap: int) -> list:
@@ -464,6 +484,11 @@ def simulate_system(model: ModelSpec, plan: MappingPlan, arch: ArchConfig,
     Pipeline-parallel plans complete one token per bottleneck-stage
     period in steady state; tensor-parallel plans serialize the whole
     pass per token.  Data-parallel replicas multiply throughput.
+
+    Each sampled position is composed per structure class (see
+    `_token_profile`). Channel utilization is that of the last decode
+    position, so only that position walks every channel of every block.
+    A `layout` built for another model, plan or arch raises TimingError.
     """
     if prefill_tokens < 0 or decode_tokens <= 0 or seq_gap <= 0:
         raise TimingError("need prefill >= 0, decode > 0, seq_gap > 0")
@@ -471,7 +496,12 @@ def simulate_system(model: ModelSpec, plan: MappingPlan, arch: ArchConfig,
         raise TimingError(
             f"{prefill_tokens}+{decode_tokens} tokens exceed plan context "
             f"{plan.context}")
-    layout = layout or compiler.build_layout(model, plan, arch)
+    if layout is None:
+        layout = compiler.build_layout(model, plan, arch)
+    else:
+        mismatch = compiler.layout_mismatch(layout, model, plan, arch)
+        if mismatch:
+            raise TimingError(mismatch)
 
     prefill_ns = 0.0
     for pos, w in _sample_positions(0, prefill_tokens, seq_gap):
@@ -493,6 +523,7 @@ def simulate_system(model: ModelSpec, plan: MappingPlan, arch: ArchConfig,
 
     n = decode_tokens
     step_ns = step_total / n
+    busy = _channel_busy(layout, last.classes, arch.timing)
     report = SimReport(
         strategy=plan.strategy,
         n_active_devices=len(plan.active_devices),
@@ -514,6 +545,6 @@ def simulate_system(model: ModelSpec, plan: MappingPlan, arch: ArchConfig,
         channel_utilization={
             str(dev): {str(ch): b / last.step_ns
                        for ch, b in sorted(chs.items())}
-            for dev, chs in sorted(last.util.items())},
+            for dev, chs in sorted(busy.items())},
     )
     return report

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -24,6 +25,10 @@ LLAMA_7B = ModelSpec(name="llama2-7b", n_layers=32, d_model=4096,
 # toy-scale model whose FFN splits over tp=2 (the toy's d_ff=688 does not)
 TINY = ModelSpec(name="tiny", n_layers=2, d_model=128, n_heads=2,
                  n_kv_heads=1, d_head=64, d_ff=2048, max_context=64)
+# toy-scale model whose FFN splits over tp=4 with each device's down
+# slice a full Global Buffer tile (TINY's d_ff=2048 packs it at tp=4)
+TP4 = ModelSpec(name="tp4", n_layers=2, d_model=256, n_heads=4,
+                n_kv_heads=1, d_head=64, d_ff=4096, max_context=64)
 
 
 def gemv_placement(rows, cols, channels=(0,), base_row=0):
@@ -315,14 +320,20 @@ def test_block_summaries_match_list_mode():
             dev: s.to_dict() for dev, s in counted.items()}
 
 
-@pytest.mark.parametrize("n_devices", (1, 2))
-def test_token_summaries_recount_one_instruction_at_a_time(n_devices):
-    # both sinks append the shared attention bodies, so recount each
-    # materialized trace by emitting its instructions one by one
-    plan = plan_pipeline(TOY, ARCH, TOY.max_context, n_devices=n_devices)
-    layout = build_layout(TOY, plan, ARCH)
+@pytest.mark.parametrize("model, plan_of", [
+    (TOY, lambda: plan_pipeline(TOY, ARCH, 64, n_devices=1)),
+    (TOY, lambda: plan_pipeline(TOY, ARCH, 64, n_devices=2)),
+    (TP4, lambda: plan_hybrid(TP4, ARCH, tp=4, pp=1, context=64)),
+    (TP4, lambda: plan_hybrid(TP4, ARCH, tp=4, pp=2, context=64)),
+], ids=["1", "2", "tp4-hybrid-pp1", "tp4-hybrid-pp2"])
+def test_token_summaries_recount_one_instruction_at_a_time(model, plan_of):
+    # both sinks append the shared attention bodies and the pieces a
+    # tensor-parallel group shares, so recount each materialized trace
+    # by emitting its instructions one by one
+    plan = plan_of()
+    layout = build_layout(model, plan, ARCH)
     for pos in (0, 15, 16, 20, 40, 63):
-        for t in compile_token(TOY, plan, pos, layout=layout):
+        for t in compile_token(model, plan, pos, layout=layout):
             sink = CountSink(t.device, ARCH)
             for name, _, _ in t.annotations:
                 sink.begin_op(name)
@@ -550,9 +561,14 @@ def _sequential_summaries(layout, bl, pos):
     (TOY, lambda: plan_pipeline(TOY, ARCH, 64, n_devices=2), range(64)),
     (TINY, lambda: plan_hybrid(TINY, ARCH, tp=2, pp=2, context=64),
      range(64)),
+    (TP4, lambda: plan_hybrid(TP4, ARCH, tp=4, pp=1, context=64),
+     range(64)),
+    (TP4, lambda: plan_hybrid(TP4, ARCH, tp=4, pp=2, context=64),
+     range(64)),
     (LLAMA_7B, lambda: plan_pipeline(LLAMA_7B, ARCH, 4096, n_devices=8),
      (17, 4095)),
-], ids=["toy-pp1", "toy-pp2", "tiny-hybrid-tp2", "7b-pp"])
+], ids=["toy-pp1", "toy-pp2", "tiny-hybrid-tp2", "tp4-hybrid-pp1",
+        "tp4-hybrid-pp2", "7b-pp"])
 def test_block_summaries_equal_sequential_lowering(model, plan_of, positions):
     plan = plan_of()
     warm_layout = build_layout(model, plan, ARCH)
@@ -585,3 +601,92 @@ def test_block_summaries_returns_fresh_objects():
     again = compiler.block_summaries(TINY, plan, ARCH, 30, layout)
     assert [{di: s.to_dict() for di, s in c.device_summaries.items()}
             for c in again] == expected
+
+
+def test_block_summaries_reject_a_layout_built_for_another_config():
+    plan = plan_pipeline(TOY, ARCH, 64, n_devices=1)
+    layout = build_layout(TOY, plan, ARCH)
+    other_model = dataclasses.replace(TOY, d_ff=1376)
+    other_plan = plan_pipeline(TOY, ARCH, 64, n_devices=2)
+    other_arch = ArchConfig(n_devices=16)
+    for args, field in (((other_model, plan, ARCH), "model"),
+                        ((TOY, other_plan, ARCH), "plan"),
+                        ((TOY, plan, other_arch), "arch")):
+        with pytest.raises(CompileError,
+                           match=f"built for another {field}"):
+            compiler.block_summaries(*args, 20, layout)
+    assert compiler.layout_mismatch(layout, TOY, plan, ARCH) is None
+    # an equal plan built anew is the same configuration
+    again = plan_pipeline(TOY, ARCH, 64, n_devices=1)
+    assert compiler.layout_mismatch(layout, TOY, again, ARCH) is None
+
+
+# ---------------------------------------------------------------------------
+# pieces shared across a tensor-parallel group
+
+def _lower_each_device_alone(self, dev, key, lower):
+    lower(self.em[dev])
+
+
+def _perturbed_tp4_layout(plan):
+    """A tp=4 layout in which non-master devices differ from the first
+    non-master in one field a shared piece reads: in even blocks the
+    third device in its FFN triple row and the fourth in every weight
+    base row, in odd blocks the third in its gated staging row."""
+    layout = build_layout(TP4, plan, ARCH)
+    for bl in layout.blocks:
+        _, first, third, fourth = bl.tp_group
+        assert bl.ewmul_row[third] == bl.ewmul_row[first]
+        if bl.block % 2:
+            bl.gated_scratch_row[third] += 1
+            continue
+        bl.ewmul_row[third] += 1
+        for by_dev in bl.placements.values():
+            if fourth in by_dev:
+                by_dev[fourth].base_row += 1
+    return layout
+
+
+@pytest.mark.parametrize("pp", (1, 2))
+def test_shared_device_pieces_equal_lowering_each_device(monkeypatch, pp):
+    # a piece lowered once and appended to several devices must equal
+    # what each device lowers for itself, also where devices differ in
+    # a single field the piece reads
+    plan = plan_hybrid(TP4, ARCH, tp=4, pp=pp, context=64)
+    cases = [build_layout(TP4, plan, ARCH), _perturbed_tp4_layout(plan)]
+
+    def lowered(layout, pos):
+        traces = compile_token(TP4, plan, pos, layout=layout)
+        return ({t.device: (t.instructions, t.annotations, t.routines,
+                            t.summary.to_dict()) for t in traces},
+                [{di: s.to_dict() for di, s in c.device_summaries.items()}
+                 for c in compiler.block_summaries(TP4, plan, ARCH, pos,
+                                                   layout)])
+
+    shared = [[lowered(layout, pos) for pos in (0, 40)] for layout in cases]
+    monkeypatch.setattr(compiler.BlockLowering, "_shared",
+                        _lower_each_device_alone)
+    for layout, got in zip(cases, shared):
+        layout.invariant_segments.clear()
+        assert got == [lowered(layout, pos) for pos in (0, 40)]
+
+
+def test_shared_pieces_emit_no_riscv():
+    plan = plan_hybrid(TP4, ARCH, tp=4, pp=1, context=64)
+    layout = build_layout(TP4, plan, ARCH)
+    low, _ = compiler._single_block_lowering(layout, 0, 0)
+    with pytest.raises(AssertionError):
+        low._shared(low.master, ("riscv",),
+                    lambda em: em.riscv("scale", 1, 0, 0))
+
+
+def test_row_allocator_spans_channels_from_their_highest_free_row():
+    alloc = compiler._RowAlloc(ARCH.rows_per_bank)
+    assert alloc.take(0, (0,), 3) == 0
+    assert alloc.take(0, (0, 1), 0) == 3      # a zero take writes nothing
+    assert alloc.take(0, (1,), 2) == 0
+    assert alloc.take(0, (0, 1), 4) == 3
+    assert alloc.take(0, (1,), 1) == 7
+    assert alloc.take(1, (0, 1), 1) == 0      # devices are independent
+    with pytest.raises(CompileError, match="rows exhausted"):
+        alloc.take(0, (0,), ARCH.rows_per_bank)

@@ -23,6 +23,9 @@ TOY = ModelSpec(name="toy", n_layers=2, d_model=256, n_heads=4,
 # Global Buffer tile (the bank-streamed input cannot share DRAM rows)
 TINY = ModelSpec(name="tiny", n_layers=2, d_model=128, n_heads=2,
                  n_kv_heads=1, d_head=64, d_ff=2048, max_context=64)
+# splits over tp=4 with each device's down slice a full tile
+TP4 = ModelSpec(name="tp4", n_layers=2, d_model=256, n_heads=4,
+                n_kv_heads=1, d_head=64, d_ff=4096, max_context=64)
 # the toy with two KV heads, each shared by two query heads
 MKV = ModelSpec(name="mkv", n_layers=2, d_model=256, n_heads=4,
                 n_kv_heads=2, d_head=64, d_ff=688, max_context=64)
@@ -331,29 +334,35 @@ def test_two_device_pipeline_matches_single_device():
     assert np.array_equal(a, b)
 
 
-def test_tensor_parallel_group_matches_single_device():
+@pytest.mark.parametrize("model, tp", [(TINY, 2), (TP4, 4)],
+                         ids=["tp2", "tp4"])
+def test_tensor_parallel_group_matches_single_device(model, tp):
+    # at tp=4 three non-master devices share their per-device pieces
     pos = 9
     rng = np.random.default_rng(10)
-    weights = [random_weights(TINY, rng) for _ in range(TINY.n_layers)]
-    ks = [bf16(rng.normal(scale=0.5, size=(1, pos, TINY.d_head)))
-          for _ in range(TINY.n_layers)]
-    vs = [bf16(rng.normal(scale=0.5, size=(1, pos, TINY.d_head)))
-          for _ in range(TINY.n_layers)]
-    hidden = bf16(rng.normal(size=TINY.d_model))
+    weights = [random_weights(model, rng) for _ in range(model.n_layers)]
+    ks = [bf16(rng.normal(scale=0.5, size=(1, pos, model.d_head)))
+          for _ in range(model.n_layers)]
+    vs = [bf16(rng.normal(scale=0.5, size=(1, pos, model.d_head)))
+          for _ in range(model.n_layers)]
+    hidden = bf16(rng.normal(size=model.d_model))
 
     outs = []
-    for plan in (plan_pipeline(TINY, ARCH, TINY.max_context, n_devices=1),
-                 plan_hybrid(TINY, ARCH, tp=2, pp=1,
-                             context=TINY.max_context)):
-        layout = C.build_layout(TINY, plan, ARCH)
+    for plan in (plan_pipeline(model, ARCH, model.max_context, n_devices=1),
+                 plan_hybrid(model, ARCH, tp=tp, pp=1,
+                             context=model.max_context)):
+        layout = C.build_layout(model, plan, ARCH)
         img = prepare_image(layout, weights)
-        for b in range(TINY.n_layers):
+        for b in range(model.n_layers):
             load_kv_history(img, layout, b, ks[b], vs[b])
         img.write_slots(layout.blocks[0].master, layout.sb.hidden, hidden)
-        traces = C.compile_token(TINY, plan, pos, layout=layout)
+        traces = C.compile_token(model, plan, pos, layout=layout)
+        report = validate_trace({t.device: t.instructions for t in traces},
+                                ARCH)
+        assert report.well_formed, [f.message for f in report.findings]
         run_trace(traces, img, groups=tp_groups(plan))
         outs.append(img.read_slots(layout.blocks[-1].master,
-                                   layout.sb.hidden, TINY.d_model))
+                                   layout.sb.hidden, model.d_model))
     # the TP run splits the down-projection dot products, so partials
     # round independently; errors stay at the BF16 ulp of the stream
     rep = compare(outs[1], outs[0], rel_tol=0.02,

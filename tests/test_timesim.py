@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from cxlpim import compiler, isa, mapper
+from collections import Counter
+
+from cxlpim import compiler, isa, mapper, timesim
 from cxlpim.compiler import ChannelStats
 from cxlpim.config import ArchConfig, CxlParams, ModelSpec, TimingParams
 from cxlpim.timesim import (
-    DramCommand, TimingError, bracket_ns, channel_busy_ns,
+    DramCommand, SimReport, TimingError, bracket_ns, channel_busy_ns,
     closed_form_gemv_latency, cxl_transfer_time, device_times,
     gemv_channel_commands, simulate_channel, simulate_system,
 )
@@ -18,6 +20,9 @@ ARCH = ArchConfig()
 
 TINY = ModelSpec(name="tiny", n_layers=2, d_model=128, n_heads=2,
                  n_kv_heads=1, d_head=64, d_ff=2048, max_context=64)
+# toy-scale model whose FFN splits over tp=4
+TP4 = ModelSpec(name="tp4", n_layers=2, d_model=256, n_heads=4,
+                n_kv_heads=1, d_head=64, d_ff=4096, max_context=64)
 
 LLAMA_70B = ModelSpec(name="llama2-70b", n_layers=80, d_model=8192,
                       n_heads=64, n_kv_heads=8, d_head=128, d_ff=28672)
@@ -344,3 +349,138 @@ def test_70b_pipeline_steady_state():
     assert rep.tokens_per_s == pytest.approx(1e9 / rep.token_step_ns)
     per_block = [v for v in rep.breakdown_ns.values()]
     assert rep.token_step_ns < rep.token_latency_ns / 20
+
+
+# ---------------------------------------------------------------------------
+# per-class composition against the per-block walk
+
+def _reference_token_profile(layout, plan, arch, pos):
+    """One forward pass at `pos`, walking every block: each block adds
+    its class's device times, each of its channels' busy time and its
+    activity counts. (token_ns, step_ns, pim, pnm, dispatch, cxl,
+    counts, busy)."""
+    t = arch.timing
+    classes = compiler.block_summaries(layout.model, plan, arch, pos, layout)
+    by_key = {compiler._structure_key(c.representative): c for c in classes}
+    role_times = {key: {di: device_times(s, t, arch.pnm_clock_Hz)
+                        for di, s in cls.device_summaries.items()}
+                  for key, cls in by_key.items()}
+    rep0 = {d for a in plan.block_assignments if a.replica == 0
+            for d in a.devices}
+    events_by_block = {}
+    for ev in plan.comm_schedule:
+        if ev.source in rep0:
+            events_by_block.setdefault(ev.block, []).append(ev)
+
+    token = pim = pnm = dispatch = cxl_total = 0.0
+    counts = Counter()
+    stage_ns, busy = {}, {}
+    for bl in layout.blocks:
+        key = compiler._structure_key(bl)
+        cls = by_key[key]
+        if bl.replica == 0:
+            worst = max(role_times[key].values(),
+                        key=lambda d: d["pim"] + d["pnm"] + d["dispatch"])
+            compute = worst["pim"] + worst["pnm"] + worst["dispatch"]
+            cxl = 0.0
+            for ev in events_by_block.get(bl.block, []):
+                if ev.kind == "SEND" and ev.label == "boundary":
+                    hop = cxl_transfer_time(ev.payload_B, "P2P", 1, arch.cxl)
+                    stage_ns[ev.source] = stage_ns.get(ev.source, 0.0) + hop
+                    cxl_total += hop
+                    token += hop
+                    continue
+                kind = "GATHER" if ev.kind == "GATHER" else "MULTICAST"
+                cxl += cxl_transfer_time(ev.payload_B, kind,
+                                         len(ev.dests), arch.cxl)
+            token += compute + cxl
+            pim += worst["pim"]
+            pnm += worst["pnm"]
+            dispatch += worst["dispatch"]
+            cxl_total += cxl
+            stage_ns[bl.master] = stage_ns.get(bl.master, 0.0) + compute + cxl
+            for di, dev in enumerate(bl.tp_group):
+                chan_map = dict(zip(cls.representative.assignment.channels[di],
+                                    bl.assignment.channels[di]))
+                dbusy = busy.setdefault(dev, {})
+                for ch_rep, st in cls.device_summaries[di].channels.items():
+                    ch = chan_map.get(ch_rep, ch_rep)
+                    dbusy[ch] = dbusy.get(ch, 0.0) + channel_busy_ns(st, t)
+        for di in range(len(bl.tp_group)):
+            timesim._merge_counts(counts, cls.device_summaries[di])
+    n_boundaries = sum(1 for ev in plan.comm_schedule
+                       if ev.kind == "SEND" and ev.label == "boundary")
+    counts["CXL_B"] += (n_boundaries * compiler.slots_of(layout.model.d_model)
+                        * arch.word_B)
+    step = max(stage_ns.values(), default=token)
+    return token, step, pim, pnm, dispatch, cxl_total, counts, busy
+
+
+def _reference_report(model, plan, arch, prefill, decode, seq_gap):
+    layout = compiler.build_layout(model, plan, arch)
+    prefill_ns = 0.0
+    for pos, w in timesim._sample_positions(0, prefill, seq_gap):
+        prefill_ns += w * _reference_token_profile(layout, plan, arch,
+                                                   pos)[0]
+    decode_ns = step_total = 0.0
+    counts, agg = Counter(), Counter()
+    for pos, w in timesim._sample_positions(prefill, decode, seq_gap):
+        last = _reference_token_profile(layout, plan, arch, pos)
+        token, step, *parts, pos_counts, busy = last
+        decode_ns += w * token
+        step_total += w * step
+        for k, v in pos_counts.items():
+            counts[k] += w * v
+        for k, v in zip(("pim", "pnm", "dispatch", "cxl"), parts):
+            agg[k] += w * v
+    n = decode
+    step_ns = step_total / n
+    return SimReport(
+        strategy=plan.strategy, n_active_devices=len(plan.active_devices),
+        dp_replicas=plan.dp_replicas, batch_size=plan.batch_size,
+        prefill_tokens=prefill, decode_tokens=decode, seq_gap=seq_gap,
+        token_latency_ns=token, token_step_ns=step_ns,
+        prefill_ns=prefill_ns, decode_ns=decode_ns,
+        tokens_per_s=plan.dp_replicas * 1e9 / step_ns,
+        breakdown_ns={k: agg[k] / n for k in
+                      ("pim", "pnm", "dispatch", "cxl")},
+        command_counts={k: counts[k] / n for k in counts},
+        flops_per_token=(counts["MACab"] / n / plan.dp_replicas) * 16 * 32,
+        mac_microops_per_token=counts["MACab"] / n / plan.dp_replicas,
+        channel_utilization={
+            str(dev): {str(ch): b / step for ch, b in sorted(chs.items())}
+            for dev, chs in sorted(busy.items())},
+    ).to_dict()
+
+
+ARCH4 = ArchConfig(n_devices=4)
+
+
+@pytest.mark.parametrize("model, arch, plan_of", [
+    (TINY, ARCH, lambda: mapper.plan_pipeline(TINY, ARCH, 64, n_devices=2)),
+    (TP4, ARCH4, lambda: mapper.plan_tensor(TP4, ARCH4, 64)),
+    (TP4, ARCH, lambda: mapper.plan_hybrid(TP4, ARCH, tp=4, pp=2,
+                                           context=64)),
+    (TINY, ARCH, lambda: mapper.plan_scaled(TINY, ARCH, 2, context=64)),
+], ids=["pp2", "tp4", "hybrid-tp4-pp2", "scaled-2-replicas"])
+def test_per_class_composition_equals_per_block_walk(model, arch, plan_of):
+    plan = plan_of()
+    if plan.strategy == "PP+DP":
+        assert plan.dp_replicas == 2
+    for prefill, decode, gap in ((0, 1, 1), (5, 40, 7), (16, 48, 16)):
+        got = simulate_system(model, plan, arch, prefill, decode, gap)
+        assert got.to_dict() == _reference_report(
+            model, plan, arch, prefill, decode, gap), (prefill, decode, gap)
+
+
+def test_simulate_system_rejects_a_layout_built_for_another_config():
+    plan = mapper.plan_pipeline(TINY, ARCH, 64, n_devices=2)
+    layout = compiler.build_layout(TINY, plan, ARCH)
+    other_model = dataclasses.replace(TINY, d_ff=4096)
+    other_plan = mapper.plan_pipeline(TINY, ARCH, 64, n_devices=1)
+    for args, field in (((other_model, plan, ARCH), "model"),
+                        ((TINY, other_plan, ARCH), "plan"),
+                        ((TINY, plan, ARCH4), "arch")):
+        with pytest.raises(TimingError, match=f"built for another {field}"):
+            simulate_system(*args, 0, 4, layout=layout)
+    simulate_system(TINY, plan, ARCH, 0, 4, layout=layout)
