@@ -9,9 +9,10 @@ The runs are `cxlpim simulate --out` on:
   * llama2-70B scaled over 16 devices (context 2048, seq-gap 512),
   * llama2-7B pipelined over 8 devices (seq-gap 128),
 
-and `cxlpim sweep` over a small spec list. Each runs in this process
-through `cli.main`, against the `src/` next to this script, so two
-checkouts can be compared line by line:
+`cxlpim compile --out` on llama2-70B tensor parallel (position 2048)
+and on toy over 2 devices, and `cxlpim sweep` over a small spec list.
+Each runs in this process through `cli.main`, against the `src/` next
+to this script, so two checkouts can be compared line by line:
 
     python3 scripts/output_digests.py OUT_A > a.txt   # in checkout A
     python3 scripts/output_digests.py OUT_B > b.txt   # in checkout B
@@ -48,6 +49,12 @@ SIMULATE = {
                "--devices", "8", "--seq-gap", "128"],
 }
 
+COMPILE = {
+    "compile-tp70b": ["--model", "llama2_70b", "--strategy", "tp",
+                      "--pos", "2048"],
+    "compile-toy-2": ["--model", "toy", "--devices", "2"],
+}
+
 SWEEP = [
     {"model": "toy", "prefill": 16, "decode": 48, "seq_gap": 1},
     {"model": "toy", "devices": 2, "prefill": 8, "decode": 56,
@@ -78,6 +85,8 @@ def main(argv=None) -> int:
 
     for name, run in SIMULATE.items():
         _run(["simulate", *run, "--out", str(out / name)])
+    for name, run in COMPILE.items():
+        _run(["compile", *run, "--out", str(out / name)])
     spec = out / "sweep_spec.json"
     spec.write_text(json.dumps(SWEEP, indent=1) + "\n")
     _run(["sweep", "--spec", str(spec), "--out", str(out / "sweep.csv")])

@@ -310,6 +310,14 @@ def _save_run_artifacts(out: Path, rep, er, tco, ratios) -> None:
         (out / "ratios.json").write_text(json.dumps(ratios, indent=2) + "\n")
 
 
+def _gpu_reference(args, arch: ArchConfig) -> dict:
+    """GPU figures for the ratios: `--gpu-reference`, else the arch
+    config's `cost.gpu_reference`, else the shipped file."""
+    if args.gpu_reference:
+        return energycost.load_reference_figures(args.gpu_reference)
+    return arch.cost.gpu_reference or energycost.load_reference_figures()
+
+
 def _ratios(rep_tokens_per_s, er, tco, reference: dict | None):
     if not reference:
         return None
@@ -336,12 +344,7 @@ def _cmd_simulate(args) -> int:
     tco = energycost.tco_report(arch.cost, er.fleet_W, rep.tokens_per_s,
                                 n_devices=arch.n_devices,
                                 host_W=arch.energy.p_host_W)
-    if args.gpu_reference:
-        reference = energycost.load_reference_figures(args.gpu_reference)
-    else:
-        reference = (arch.cost.gpu_reference or
-                     energycost.load_reference_figures())
-    ratios = _ratios(rep.tokens_per_s, er, tco, reference)
+    ratios = _ratios(rep.tokens_per_s, er, tco, _gpu_reference(args, arch))
     if args.out:
         out = Path(args.out)
         _save_run_artifacts(out, rep, er, tco, ratios)
@@ -361,10 +364,7 @@ def _cmd_report(args) -> int:
     tco = energycost.tco_report(arch.cost, er.fleet_W, rep.tokens_per_s,
                                 n_devices=arch.n_devices,
                                 host_W=arch.energy.p_host_W)
-    reference = (energycost.load_reference_figures(args.gpu_reference)
-                 if args.gpu_reference
-                 else energycost.load_reference_figures())
-    ratios = _ratios(rep.tokens_per_s, er, tco, reference)
+    ratios = _ratios(rep.tokens_per_s, er, tco, _gpu_reference(args, arch))
     _save_run_artifacts(Path(args.out), rep, er, tco, ratios)
     print(f"energy/tco artifacts written to {args.out}")
     return 0

@@ -10,7 +10,9 @@ Matrices are row-partitioned: matrix row r lives in bank r%16, row-group
 j = r//16; row groups round-robin over the assigned channels and map to
 accumulation registers in batches of 32. Inputs are re-streamed through
 the Global Buffer (or via COPY_BKGB from a DRAM scratch region) for each
-register batch, so partial sums never spill.
+register batch, so partial sums never spill. These numbers are the
+device's fixed geometry, imported from config (LANE, ROW_SLOTS, REGS,
+BANK_GROUPS); only capacities, counts and clocks come from ArchConfig.
 
 Traces are emitted through a sink as an opcode and its operand tuple.
 Both sinks keep instruction/micro-op counters and per-channel activity
@@ -51,29 +53,21 @@ RISCV, because PCs index each device's own routine table.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
-from .config import ArchConfig, ModelSpec
+from .config import (BANK_GROUPS, LANE, REGS, ROW_SLOTS, WORD_B, ArchConfig,
+                     ModelSpec)
 from . import isa
 from .isa import Instruction, make_instruction
 from .mapper import MappingPlan, BlockAssignment
 
-LANE = 16                      # BF16 elements per 256-bit word
-ROW_SLOTS = 64                 # columns per DRAM row
 ROW_ELEMS = LANE * ROW_SLOTS   # 1024 elements per bank row
-REGS = 32                      # accumulation registers per PU
+SB_ZERO_SLOTS = 32             # zero-constant Shared Buffer slots
 
-SILU, GELU, SIGMOID, TANH = 0, 1, 2, 3
-
-KIND_GEMV = "ROW_PER_BANK_GEMV"
-KIND_PAIR = "NEIGHBOR_PAIR_DOT"
-KIND_EWMUL = "BANKGROUP_TRIPLE_EWMUL"
-KIND_KV = "KV_CACHE_APPEND"
+SILU = 0                       # AF id of SiLU
 
 
 class CompileError(ValueError):
@@ -108,7 +102,6 @@ class TensorPlacement:
     replicated copies of the vector so every run sees its input).
     """
     name: str
-    kind: str
     device: int
     channels: tuple[int, ...]
     rows: int
@@ -179,11 +172,10 @@ class EwWeightPlacement:
     channel: int
     base_row: int
     n_slots: int
-    kind: str = KIND_EWMUL
 
     @property
     def quarter(self) -> int:
-        return -(-self.n_slots // 4)
+        return -(-self.n_slots // BANK_GROUPS)
 
     @property
     def rows_needed(self) -> int:
@@ -192,7 +184,8 @@ class EwWeightPlacement:
     def loc(self, s: int) -> tuple[int, int, int]:
         """(bank, row, column) of vector slot s."""
         g, local = divmod(s, self.quarter)
-        return 4 * g, self.base_row + local // ROW_SLOTS, local % ROW_SLOTS
+        return (BANK_GROUPS * g, self.base_row + local // ROW_SLOTS,
+                local % ROW_SLOTS)
 
 
 @dataclass
@@ -206,7 +199,6 @@ class KvCachePlacement:
     max_context: int
     k_base_row: int
     v_base_row: int
-    kind: str = KIND_KV
 
     @property
     def dh_slots(self) -> int:
@@ -351,7 +343,6 @@ class CountSink:
         self.device = device
         self.cfg = cfg
         self.summary = TraceSummary()
-        self.instructions = None
         self.annotations: list[tuple[str, int, int]] = []
         self._open: dict = {}          # ch -> [row, cols] of last bracket
         self._first: dict = {}         # ch -> [row, cols] of first bracket
@@ -406,7 +397,7 @@ class CountSink:
             if op == "RISCV":
                 s.riscv_slots[riscv_kind or "generic"] += opsize
         elif op in ("SEND_CXL", "BCAST_CXL"):
-            s.cxl_sent_B += self.cfg.word_B
+            s.cxl_sent_B += WORD_B
         elif op == "RECV_CXL":
             s.cxl_recv += 1
 
@@ -494,19 +485,6 @@ class DeviceTrace:
     summary: TraceSummary
     routines: dict           # pc -> (kind, params)
 
-    def manifest_entry(self) -> dict:
-        d = self.summary.to_dict()
-        d["device"] = self.device
-        d["n_instructions"] = self.summary.total_instructions
-        d["annotation_index"] = [list(a) for a in self.annotations]
-        return d
-
-
-def write_manifest(traces: list[DeviceTrace], path) -> None:
-    manifest = {"devices": [t.manifest_entry() for t in traces]}
-    Path(path).write_text(json.dumps(manifest, indent=1, sort_keys=True)
-                          + "\n")
-
 
 # ---------------------------------------------------------------------------
 # layout
@@ -514,7 +492,7 @@ def write_manifest(traces: list[DeviceTrace], path) -> None:
 @dataclass
 class SbMap:
     """Shared Buffer slot regions, reused by every block on a device."""
-    zero: int        # 32 zero-constant slots (bias sources)
+    zero: int        # SB_ZERO_SLOTS zero-constant slots (bias sources)
     hidden: int      # residual stream
     rms: int         # normalized vector; reused for concat head outputs
     qkv: int         # q vector, then reused for projection outputs;
@@ -523,11 +501,15 @@ class SbMap:
     tmp: int         # chunk temporaries and softmax statistics
     size: int
 
+    @property
+    def zero_slots(self) -> int:
+        return self.hidden - self.zero
+
 
 def _build_sb_map(model: ModelSpec, arch: ArchConfig) -> SbMap:
     S = slots_of(model.d_model)
     Skv = slots_of(model.n_kv_heads * model.d_head)
-    hidden = 32
+    hidden = SB_ZERO_SLOTS
     rms = hidden + S
     qkv = rms + S
     kv_new = qkv + S
@@ -646,7 +628,7 @@ def build_layout(model: ModelSpec, plan: MappingPlan,
             for di, dev in enumerate(group):
                 chans = a.channels[di]
                 pl = TensorPlacement(
-                    name=name, kind=KIND_GEMV, device=dev, channels=chans,
+                    name=name, device=dev, channels=chans,
                     rows=split_rows,
                     cols=cols // tp if name == "down" else cols,
                     base_row=0,
@@ -992,28 +974,28 @@ class BlockLowering:
         # learned per-element weights via a bank-group triple pass
         wp = self.bl.placements[w_name][self.master]
         q = wp.quarter
-        for g in range(4):
+        for g in range(BANK_GROUPS):
             seg = min(q, S - g * q)
             if seg <= 0:
                 break
             off = 0
             while off < seg:
                 n = min(ROW_SLOTS - off % ROW_SLOTS, seg - off)
-                em.i("WR_SBK", ch, n, 4 * g + 1,
+                em.i("WR_SBK", ch, n, BANK_GROUPS * g + 1,
                      wp.base_row + off // ROW_SLOTS, off % ROW_SLOTS,
                      sb.rms + g * q + off)
                 off += n
         for r in range(wp.rows_needed):
             em.i("EW_MUL", 1 << ch, min(ROW_SLOTS, q - r * ROW_SLOTS),
                  wp.base_row + r, 0)
-        for g in range(4):
+        for g in range(BANK_GROUPS):
             seg = min(q, S - g * q)
             if seg <= 0:
                 break
             off = 0
             while off < seg:
                 n = min(ROW_SLOTS - off % ROW_SLOTS, seg - off)
-                em.i("RD_SBK", ch, n, 4 * g + 2,
+                em.i("RD_SBK", ch, n, BANK_GROUPS * g + 2,
                      wp.base_row + off // ROW_SLOTS, off % ROW_SLOTS,
                      sb.rms + g * q + off)
                 off += n
@@ -1269,20 +1251,21 @@ class BlockLowering:
                     em.i("RD_MAC", 1 << c, tg + i, i)
                 for i in range(n):
                     em.i("RD_MAC", 1 << c, tu + i, half + i)
-                q = -(-n // 4)
-                for g in range(4):
+                q = -(-n // BANK_GROUPS)
+                for g in range(BANK_GROUPS):
                     seg = min(q, n - g * q)
                     if seg <= 0:
                         break
-                    em.i("WR_SBK", c, seg, 4 * g, ew_row, 0, tg + g * q)
-                    em.i("WR_SBK", c, seg, 4 * g + 1, ew_row, 0,
+                    em.i("WR_SBK", c, seg, BANK_GROUPS * g, ew_row, 0,
+                         tg + g * q)
+                    em.i("WR_SBK", c, seg, BANK_GROUPS * g + 1, ew_row, 0,
                          tu + g * q)
                 em.i("EW_MUL", 1 << c, q, ew_row, 0)
-                for g in range(4):
+                for g in range(BANK_GROUPS):
                     seg = min(q, n - g * q)
                     if seg <= 0:
                         break
-                    em.i("RD_SBK", c, seg, 4 * g + 2, ew_row, 0,
+                    em.i("RD_SBK", c, seg, BANK_GROUPS * g + 2, ew_row, 0,
                          tg + g * q)
                 off = phys_off[c] + rnd * half
                 for dst in gate.channels:
@@ -1317,9 +1300,6 @@ def lower_gemv(rows: int, cols: int, placement: TensorPlacement,
                cfg: Optional[ArchConfig] = None,
                sb_zero: int = 0) -> list[Instruction]:
     cfg = cfg or ArchConfig()
-    if placement.kind != KIND_GEMV:
-        raise CompileError(f"placement kind {placement.kind} is not "
-                           f"{KIND_GEMV}")
     if (rows, cols) != (placement.rows, placement.cols):
         raise CompileError(
             f"shape ({rows}, {cols}) does not match placement "
@@ -1327,33 +1307,6 @@ def lower_gemv(rows: int, cols: int, placement: TensorPlacement,
     sink = ListSink(placement.device, cfg)
     em = Emitter(sink, cfg)
     emit_gemv(em, [GemvJob(placement, out_base)], ("SB", vec_slot), sb_zero)
-    return _finish_list(sink, em)
-
-
-def lower_softmax(length: int, base_slot: int,
-                  cfg: Optional[ArchConfig] = None, stabilize: bool = True,
-                  tmp_slot: int = 2000) -> list[Instruction]:
-    """Normalize `length` scores held in Shared Buffer slots in place."""
-    if length <= 0:
-        raise CompileError("softmax length must be positive")
-    cfg = cfg or ArchConfig()
-    sink = ListSink(0, cfg)
-    em = Emitter(sink, cfg)
-    sink.begin_op("softmax")
-    n = slots_of(length)
-    if length % LANE:
-        em.riscv("mask_tail", 1, base_slot + n - 1, base_slot + n - 1,
-                 params=(length % LANE,))
-    if stabilize:
-        em.i("RED", n, tmp_slot, base_slot, red_mode="MAX")
-    else:
-        em.riscv("fill", 1, tmp_slot, tmp_slot, params=(0.0,))
-    em.riscv("set_stab", 1, tmp_slot, tmp_slot)
-    em.i("EXP", n, base_slot, base_slot)
-    em.i("RED", n, tmp_slot, base_slot)
-    em.riscv("recip", 1, tmp_slot + 1, tmp_slot)
-    em.riscv("scale", n, base_slot, base_slot, params=(tmp_slot + 1,))
-    sink.end_op()
     return _finish_list(sink, em)
 
 

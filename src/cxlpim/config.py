@@ -3,6 +3,13 @@
 All physical quantities carry a unit suffix in their field name:
 _ns (nanoseconds), _B (bytes), _W (watts), _pJ (picojoules), _USD (dollars),
 _mm / _mm2 (millimetres), _Bps (bytes per second).
+
+The PIM device geometry (word width, row length, banks, accumulators,
+reduction trees) is fixed silicon. The lowering, the timing model and the
+interpreter are written for it, so it is named once here as module
+constants, not as ArchConfig fields that could be set to values nothing
+honours. ArchConfig holds what a study may vary: fleet and channel
+counts, capacities, clocks, timing, CXL, energy and cost.
 """
 
 from __future__ import annotations
@@ -16,6 +23,16 @@ from typing import Any
 KB = 1024
 MB = 1024 * 1024
 GB = 1024 * 1024 * 1024
+
+# -- device geometry ---------------------------------------------------------
+
+LANE = 16           # BF16 lanes per 256-bit word
+WORD_B = 32         # bytes per word, one DRAM column
+ROW_SLOTS = 64      # words (columns) per 2 KB DRAM row
+REGS = 32           # accumulation registers per near-bank unit
+BANKS = 16          # banks per channel, one near-bank unit each
+BANK_GROUPS = 4     # bank groups per channel; EW_MUL runs a triple in each
+RED_TREES = 32      # PNM reduction trees; one RED micro-op feeds all
 
 PARAMS_DIR = Path(__file__).parent / "params"
 CONFIGS_DIR = Path(__file__).parent / "configs"
@@ -85,7 +102,6 @@ class CxlParams:
     # PCIe 6.0 x4 per direction, derated by protocol efficiency
     link_bandwidth_Bps: float = 32e9
     link_efficiency: float = 0.9
-    host_link_lanes: int = 16
     base_latency_ns: float = 400.0
     multicast_latency_factor: float = 2.0
     multicast_bandwidth_factor: float = 0.5
@@ -152,31 +168,15 @@ class CostParams:
                 raise ConfigError(f"{name} must be positive")
 
 
-# geometry the lowering, the timing model and the interpreter hard-code
-# (16-lane words, 64-column rows, 32 accumulators, 16 banks); only the
-# field defaults are supported
-_FIXED_GEOMETRY = ("word_bits", "row_buffer_B", "acc_registers",
-                   "banks_per_channel")
-
-
 @dataclass(frozen=True)
 class ArchConfig:
     n_devices: int = 32
     channels_per_device: int = 32
-    banks_per_channel: int = 16
-    bank_groups: int = 4
     bank_capacity_B: int = 32 * MB
     global_buffer_B: int = 2 * KB
     shared_buffer_B: int = 64 * KB
-    instruction_buffer_B: int = 2 * MB
-    row_buffer_B: int = 2 * KB
-    word_bits: int = 256
-    acc_registers: int = 32
     pu_clock_Hz: float = 1e9
     pnm_clock_Hz: float = 2e9
-    n_accumulators: int = 32
-    n_reduction_trees: int = 32
-    n_exp_units: int = 32
     n_scalar_cores: int = 8
     timing: TimingParams = field(default_factory=TimingParams)
     cxl: CxlParams = field(default_factory=CxlParams)
@@ -184,46 +184,28 @@ class ArchConfig:
     cost: CostParams = field(default_factory=CostParams)
 
     def __post_init__(self) -> None:
-        for name in ("n_devices", "channels_per_device", "banks_per_channel",
-                     "bank_groups", "bank_capacity_B", "global_buffer_B",
-                     "shared_buffer_B", "acc_registers", "n_scalar_cores"):
+        for name in ("n_devices", "channels_per_device", "bank_capacity_B",
+                     "global_buffer_B", "shared_buffer_B", "n_scalar_cores"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.name in _FIXED_GEOMETRY and value != f.default:
-                raise ConfigError(f"{f.name}={value} is not supported: the "
-                                  f"lowering assumes {f.default}")
 
     # -- derived geometry ----------------------------------------------------
 
     @property
-    def word_B(self) -> int:
-        return self.word_bits // 8  # 32
-
-    @property
-    def lanes(self) -> int:
-        return self.word_bits // 16  # 16 BF16 lanes per 256-bit word
-
-    @property
-    def cols_per_row(self) -> int:
-        return self.row_buffer_B // self.word_B  # 64
-
-    @property
     def rows_per_bank(self) -> int:
-        return self.bank_capacity_B // self.row_buffer_B  # 16384
+        return self.bank_capacity_B // (ROW_SLOTS * WORD_B)  # 16384
 
     @property
     def gb_slots(self) -> int:
-        return self.global_buffer_B // self.word_B  # 64
+        return self.global_buffer_B // WORD_B  # 64
 
     @property
     def sb_slots(self) -> int:
-        return self.shared_buffer_B // self.word_B  # 2048
+        return self.shared_buffer_B // WORD_B  # 2048
 
     @property
     def channel_capacity_B(self) -> int:
-        return self.banks_per_channel * self.bank_capacity_B  # 512 MB
+        return BANKS * self.bank_capacity_B  # 512 MB
 
     @property
     def device_capacity_B(self) -> int:
@@ -236,7 +218,7 @@ class ArchConfig:
     @property
     def channel_flops(self) -> float:
         # 16 PUs x 16-wide MAC (mul+add) per PU clock
-        return self.banks_per_channel * self.lanes * 2 * self.pu_clock_Hz
+        return BANKS * LANE * 2 * self.pu_clock_Hz
 
     @property
     def fleet_pim_flops(self) -> float:
@@ -245,7 +227,7 @@ class ArchConfig:
     @property
     def fleet_internal_bandwidth_Bps(self) -> float:
         return (self.n_devices * self.channels_per_device *
-                self.banks_per_channel * self.word_B * self.pu_clock_Hz)
+                BANKS * WORD_B * self.pu_clock_Hz)
 
 
 def block_footprint(model: ModelSpec, context: int) -> tuple[int, int]:

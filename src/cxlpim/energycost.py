@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import (PARAMS_DIR, ArchConfig, CostParams, EnergyParams,
-                     load_energy_params)
+from .config import (BANKS, PARAMS_DIR, WORD_B, ArchConfig, CostParams,
+                     EnergyParams, load_energy_params)
 
 
 class EnergyError(ValueError):
@@ -104,9 +104,9 @@ class EnergyReport:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
-def mac_energy_per_bit_pJ(e: EnergyParams, word_bits: int = 256) -> float:
+def mac_energy_per_bit_pJ(e: EnergyParams) -> float:
     """Energy of one bank MAC column divided by the bits it consumes."""
-    return e.e_mac_col_pJ / word_bits
+    return e.e_mac_col_pJ / (8 * WORD_B)
 
 
 def ctrl_static_W_per_device(e: EnergyParams, arch: ArchConfig) -> float:
@@ -163,12 +163,11 @@ def energy_from_counts(counts: dict, wall_s: float, e: EnergyParams,
     if not 0 <= active <= arch.n_devices:
         raise EnergyError(
             f"active_devices {active} outside fleet of {arch.n_devices}")
-    banks = arch.banks_per_channel
     pj = 1e-12
     cats = {
         "mac": (counts["MACab"] + counts["EWMULab"] + counts["AFab"]) *
-               banks * e.e_mac_col_pJ * pj,
-        "act_pre": counts["ACTab"] * banks * e.e_act_pre_pJ * pj,
+               BANKS * e.e_mac_col_pJ * pj,
+        "act_pre": counts["ACTab"] * BANKS * e.e_act_pre_pJ * pj,
         "rd_wr": (counts["RD"] * e.e_rd_col_pJ +
                   counts["WR"] * e.e_wr_col_pJ) * pj,
         "background": (e.p_background_W_per_channel *

@@ -9,18 +9,17 @@ run-until-blocked round-robin schedule.
 from __future__ import annotations
 
 import math
-import struct
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .config import ArchConfig, ModelSpec
+from .config import (BANK_GROUPS, BANKS, LANE, REGS, ROW_SLOTS, ArchConfig,
+                     ModelSpec)
 from .isa import Instruction, mask_channels
 from .compiler import (
-    LANE, ROW_SLOTS, ROW_ELEMS, DeviceTrace, EwWeightPlacement, Layout,
-    TensorPlacement, slots_of,
+    ROW_ELEMS, EwWeightPlacement, Layout, TensorPlacement, slots_of,
 )
 
 
@@ -158,7 +157,7 @@ class DeviceState:
 
     def acc_array(self, ch: int) -> np.ndarray:
         if ch not in self.acc:
-            self.acc[ch] = np.zeros((16, 32), dtype=np.float32)
+            self.acc[ch] = np.zeros((BANKS, REGS), dtype=np.float32)
         return self.acc[ch]
 
 
@@ -201,7 +200,7 @@ class MemoryImage:
 
     def zero_rows(self, dev: int, ch: int, rows) -> None:
         st = self.device(dev)
-        for bank in range(16):
+        for bank in range(BANKS):
             for row in rows:
                 st.bank_row(ch, bank, row, True, False)
 
@@ -311,7 +310,9 @@ def prepare_image(layout: Layout, weights: list[dict],
         image.zero_rows(dev, ch, rows)
     devices = {d for bl in layout.blocks for d in bl.tp_group}
     for dev in devices:
-        image.write_slots(dev, 0, np.zeros(32 * LANE, dtype=np.float32))
+        image.write_slots(dev, layout.sb.zero,
+                          np.zeros(layout.sb.zero_slots * LANE,
+                                   dtype=np.float32))
     for b, bl in enumerate(layout.blocks):
         load_block_weights(image, layout, b, weights[bl.block])
         load_rope_tables(image, layout, b)
@@ -404,14 +405,14 @@ class _Executor:
                 st.armed[ch] = None
             rows = [bf16_to_f32(
                 self._row_f32(st, ch, b, row)[co * LANE:(co + n) * LANE]
-                ).reshape(n, LANE) for b in range(16)]
+                ).reshape(n, LANE) for b in range(BANKS)]
             if inst.source_select == "GB":
                 vec = self._gb_operand(st, ch, co, n)
                 partial = np.stack([_tree_sum(rows[b] * vec)
-                                    for b in range(16)])
+                                    for b in range(BANKS)])
             else:
                 partial = np.stack([_tree_sum(rows[b] * rows[b ^ 1])
-                                    for b in range(16)])
+                                    for b in range(BANKS)])
             # column micro-ops accumulate sequentially in FP32; cumsum
             # reproduces the running left-to-right sum exactly
             run = np.concatenate(
@@ -435,12 +436,12 @@ class _Executor:
         st = self.image.device(prog.device)
         lo, hi = inst.CO * LANE, (inst.CO + inst.OPsize) * LANE
         for ch in mask_channels(inst.CHmask):
-            for g in range(4):
-                a = bf16_to_f32(
-                    self._row_f32(st, ch, 4 * g, inst.RO)[lo:hi])
+            for g in range(BANK_GROUPS):
+                bank = BANK_GROUPS * g
+                a = bf16_to_f32(self._row_f32(st, ch, bank, inst.RO)[lo:hi])
                 b = bf16_to_f32(
-                    self._row_f32(st, ch, 4 * g + 1, inst.RO)[lo:hi])
-                out = self._row_f32(st, ch, 4 * g + 2, inst.RO, write=True)
+                    self._row_f32(st, ch, bank + 1, inst.RO)[lo:hi])
+                out = self._row_f32(st, ch, bank + 2, inst.RO, write=True)
                 out[lo:hi] = bf16_round(a * b)
 
     def _op_wr_sbk(self, prog, inst):
@@ -466,7 +467,7 @@ class _Executor:
             raise PoisonError(f"WR_ABK from unwritten slot {inst.Rs}")
         vals = st.sb[inst.Rs]                       # lane b -> bank b
         pos = inst.CO * LANE + inst.Regid
-        for bank in range(16):
+        for bank in range(BANKS):
             arr = self._row_f32(st, inst.CHid, bank, inst.RO, write=True)
             arr[pos] = vals[bank]
 
@@ -624,8 +625,6 @@ def run_trace(traces, image: MemoryImage,
                                         getattr(insts, "routines", {}))
     else:
         for t in traces:
-            if t.instructions is None:
-                raise SimError("trace was compiled in counting mode")
             programs[t.device] = _DevProgram(t.device, t.instructions,
                                              t.routines)
     ex = _Executor(image, programs, groups)
@@ -903,68 +902,3 @@ def compare(actual, expected, rel_tol: float = 0.02,
                       float(rel.max(initial=0.0)),
                       float(diff.mean()) if len(a) else 0.0,
                       len(a), bool((rel <= rel_tol).all()))
-
-
-# ---------------------------------------------------------------------------
-# checkpoint file: little-endian, versioned header
-
-_MAGIC = b"PIMIMG01"
-_VERSION = 1
-
-
-def save_image(image: MemoryImage, path) -> None:
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<II", _VERSION, len(image.devices)))
-        for dev in sorted(image.devices):
-            st = image.devices[dev]
-            f.write(struct.pack("<Id", dev, st.stab))
-            f.write(st.sb.astype("<u2").tobytes())
-            f.write(np.packbits(st.sb_written).tobytes())
-            f.write(struct.pack("<I", len(st.gb)))
-            for ch in sorted(st.gb):
-                f.write(struct.pack("<I", ch))
-                f.write(st.gb[ch].astype("<u2").tobytes())
-                f.write(np.packbits(st.gb_written[ch]).tobytes())
-            rows = [(ch, bank, row, arr)
-                    for (ch, bank), rr in sorted(st.banks.items())
-                    for row, arr in sorted(rr.items())]
-            f.write(struct.pack("<I", len(rows)))
-            for ch, bank, row, arr in rows:
-                f.write(struct.pack("<HHI", ch, bank, row))
-                f.write(arr.astype("<u2").tobytes())
-
-
-def load_image(path, cfg: Optional[ArchConfig] = None,
-               strict: bool = True) -> MemoryImage:
-    image = MemoryImage(cfg, strict=strict)
-    sb_slots = image.cfg.sb_slots
-    with open(path, "rb") as f:
-        if f.read(8) != _MAGIC:
-            raise SimError(f"{path}: not a memory image checkpoint")
-        version, n_dev = struct.unpack("<II", f.read(8))
-        if version != _VERSION:
-            raise SimError(f"unsupported checkpoint version {version}")
-        for _ in range(n_dev):
-            dev, stab = struct.unpack("<Id", f.read(12))
-            st = image.device(dev)
-            st.stab = stab
-            st.sb = np.frombuffer(
-                f.read(sb_slots * LANE * 2), "<u2").reshape(
-                    sb_slots, LANE).copy()
-            st.sb_written = np.unpackbits(np.frombuffer(
-                f.read(-(-sb_slots // 8)), np.uint8))[:sb_slots].astype(bool)
-            (n_gb,) = struct.unpack("<I", f.read(4))
-            for _ in range(n_gb):
-                (ch,) = struct.unpack("<I", f.read(4))
-                st.gb[ch] = np.frombuffer(
-                    f.read(ROW_SLOTS * LANE * 2), "<u2").reshape(
-                        ROW_SLOTS, LANE).copy()
-                st.gb_written[ch] = np.unpackbits(np.frombuffer(
-                    f.read(8), np.uint8)).astype(bool)
-            (n_rows,) = struct.unpack("<I", f.read(4))
-            for _ in range(n_rows):
-                ch, bank, row = struct.unpack("<HHI", f.read(8))
-                arr = np.frombuffer(f.read(ROW_ELEMS * 2), "<u2").copy()
-                st.banks.setdefault((ch, bank), {})[row] = arr
-    return image

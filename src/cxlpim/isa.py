@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .config import ArchConfig
+from .config import BANKS, RED_TREES, REGS, ROW_SLOTS, ArchConfig
 
 # operand order matches the assembly format exactly
 OPCODE_FIELDS: dict[str, tuple[str, ...]] = {
@@ -60,9 +60,9 @@ class IsaError(ValueError):
     pass
 
 
-# number of parallel PNM reduction trees; one RED micro-op feeds all of
-# them, so RED covers up to this many slots per micro-op
-RED_TREES = 32
+# the config whose operand ranges apply when none is given
+_DEFAULT_ARCH = ArchConfig()
+
 
 @dataclass(frozen=True)
 class Instruction:
@@ -103,28 +103,23 @@ class MicroOp:
 
 def _range_table(cfg: Optional[ArchConfig]) -> dict:
     """Operand field name -> (inclusive lower, exclusive upper) bound."""
-    cols = cfg.cols_per_row if cfg else 64
-    rows = cfg.rows_per_bank if cfg else 16384
-    slots = cfg.sb_slots if cfg else 2048
-    banks = cfg.banks_per_channel if cfg else 16
-    chans = cfg.channels_per_device if cfg else 32
-    regs = cfg.acc_registers if cfg else 32
-    devs = cfg.n_devices if cfg else 256
+    cfg = cfg or _DEFAULT_ARCH
+    chans = cfg.channels_per_device
     return {
         "CHmask": (1, 1 << chans),
         "CHid":   (0, chans),
         "OPsize": (1, 1 << 16),
-        "RO":     (0, rows),
-        "CO":     (0, cols),
-        "BK":     (0, banks),
-        "Regid":  (0, regs),
+        "RO":     (0, cfg.rows_per_bank),
+        "CO":     (0, ROW_SLOTS),
+        "BK":     (0, BANKS),
+        "Regid":  (0, REGS),
         "AFid":   (0, len(AF_NAMES)),
-        "Rs":     (0, slots),
-        "Rd":     (0, slots),
-        "DVid":   (0, devs),
+        "Rs":     (0, cfg.sb_slots),
+        "Rd":     (0, cfg.sb_slots),
+        "DVid":   (0, cfg.n_devices),
         "DVcount": (1, 256),
         "PC":     (0, 1 << 32),
-        "GBslot": (0, cfg.gb_slots if cfg else 64),
+        "GBslot": (0, cfg.gb_slots),
     }
 
 
@@ -136,18 +131,17 @@ def _field_range(name: str, cfg: Optional[ArchConfig]) -> tuple[int, int]:
 def _operand_bounds(cfg: Optional[ArchConfig]) -> dict:
     """opcode -> ((name, lo, hi), ...) in operand order, built once per
     config and cached on it."""
-    if cfg is not None:
-        cached = getattr(cfg, "_isa_bounds", None)
-        if cached is not None:
-            return cached
+    cfg = cfg or _DEFAULT_ARCH
+    cached = getattr(cfg, "_isa_bounds", None)
+    if cached is not None:
+        return cached
     table = _range_table(cfg)
     # WR_GB's CO indexes Global Buffer slots, not DRAM columns
     bounds = {op: tuple((name, *table["GBslot" if op == "WR_GB"
                                       and name == "CO" else name])
                         for name in fields)
               for op, fields in OPCODE_FIELDS.items()}
-    if cfg is not None:
-        object.__setattr__(cfg, "_isa_bounds", bounds)
+    object.__setattr__(cfg, "_isa_bounds", bounds)
     return bounds
 
 
@@ -259,7 +253,7 @@ def mask_channels(mask: int) -> list[int]:
 
 def expand_microops(inst: Instruction, cfg: ArchConfig) -> list[MicroOp]:
     op = inst.opcode
-    all_banks = tuple(range(cfg.banks_per_channel))
+    all_banks = tuple(range(BANKS))
     opsize = inst.get("OPsize", 1)
     out: list[MicroOp] = []
 
@@ -273,10 +267,10 @@ def expand_microops(inst: Instruction, cfg: ArchConfig) -> list[MicroOp]:
                 raise IsaError(f"WR_GB: slots {co}+{opsize} exceed Global "
                                f"Buffer ({cfg.gb_slots} slots)")
         elif op in _COLUMN_WALKERS and co is not None:
-            if co + opsize > cfg.cols_per_row:
+            if co + opsize > ROW_SLOTS:
                 raise IsaError(
                     f"{op}: columns {co}+{opsize} cross the row boundary "
-                    f"({cfg.cols_per_row} columns per row); split at rows")
+                    f"({ROW_SLOTS} columns per row); split at rows")
         for ch in channels:
             if op in ("MAC_ABK", "EW_MUL", "COPY_BKGB", "COPY_GBBK", "WR_GB"):
                 for i in range(opsize):
@@ -292,10 +286,10 @@ def expand_microops(inst: Instruction, cfg: ArchConfig) -> list[MicroOp]:
         ch = inst.CHid
         if op == "WR_ABK":
             return [MicroOp(op, ch, all_banks, inst.RO, inst.CO, inst.Rs, 0)]
-        if inst.CO + opsize > cfg.cols_per_row:
+        if inst.CO + opsize > ROW_SLOTS:
             raise IsaError(
                 f"{op}: columns {inst.CO}+{opsize} cross the row boundary "
-                f"({cfg.cols_per_row} columns per row); split at rows")
+                f"({ROW_SLOTS} columns per row); split at rows")
         slot_base = inst.Rs if op == "WR_SBK" else inst.Rd
         return [MicroOp(op, ch, (inst.BK,), inst.RO, inst.CO + i,
                         slot_base + i, i) for i in range(opsize)]

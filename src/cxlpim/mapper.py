@@ -271,20 +271,3 @@ def comm_volume(plan: MappingPlan, model: ModelSpec) -> CommVolume:
     return CommVolume(per_token_B=total,
                       per_block_B=total / n_blocks if n_blocks else 0.0,
                       by_block=by_block)
-
-
-def check_plan(plan: MappingPlan, arch: ArchConfig) -> None:
-    """Capacity and stage-integrity invariants; raises on violation."""
-    per_channel: dict[tuple[int, int], int] = {}
-    for a in plan.block_assignments:
-        n_ch = sum(len(chs) for chs in a.channels)
-        share = a.footprint_B / n_ch
-        for dev, chs in zip(a.devices, a.channels):
-            for ch in chs:
-                per_channel[(dev, ch)] = per_channel.get((dev, ch), 0) + share
-        if plan.strategy in ("PP", "PP+DP") and len(a.devices) != 1:
-            raise MappingError(f"block {a.block} spans devices {a.devices}")
-    for (dev, ch), used in per_channel.items():
-        if used > arch.channel_capacity_B:
-            raise MappingError(
-                f"device {dev} channel {ch} over capacity: {used:.0f} B")

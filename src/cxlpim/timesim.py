@@ -12,9 +12,12 @@ Three layers, each usable on its own:
     structure class of blocks, with CXL transfer times into per-token
     and per-query latencies, steady-state throughput, and the activity
     counts consumed by the energy model.
+
+The oracle and the command streams tile a GEMV exactly as the compiler
+lays it out (`compiler.input_tiles`), over the fixed geometry named in
+config (LANE lanes per word, BANKS banks per channel).
 """
 
-import csv
 import json
 import math
 from collections import Counter
@@ -24,7 +27,8 @@ from typing import Optional
 
 from . import compiler
 from .compiler import ChannelStats, TraceSummary
-from .config import ArchConfig, CxlParams, ModelSpec, TimingParams
+from .config import (BANKS, LANE, WORD_B, ArchConfig, CxlParams, ModelSpec,
+                     TimingParams)
 from .mapper import MappingPlan
 
 
@@ -61,16 +65,6 @@ class DramCommand:
 class ChannelTimeline:
     finish_ns: float
     events: list            # DramCommand with issue_ns filled in
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["time_ns", "channel", "command", "bank", "row", "col"])
-            for ev in self.events:
-                bank = "all" if not ev.banks else ";".join(map(str, ev.banks))
-                w.writerow([f"{ev.issue_ns:.3f}", ev.channel, ev.kind,
-                            bank, "" if ev.row is None else ev.row,
-                            "" if ev.col is None else ev.col])
 
 
 def _duration(cmd: DramCommand, t: TimingParams) -> float:
@@ -164,24 +158,10 @@ def simulate_channel(commands, t: TimingParams) -> ChannelTimeline:
 # ---------------------------------------------------------------------------
 # analytic GEMV oracle
 
-LANE = 16
-COLS_PER_ROW = 64
-
-
 def bracket_ns(n_cols: int, t: TimingParams) -> float:
     """Activate -> n column commands -> precharge, including recovery."""
     return (t.tRCDRD_ns + max(n_cols * t.tCCDS_ns,
                               t.tRAS_ns - t.tRCDRD_ns) + t.tRP_ns)
-
-
-def _group_tile_cols(cols: int) -> list:
-    """Column-command counts of the DRAM rows holding one 16-row group."""
-    slots = math.ceil(cols / LANE)
-    tiles = []
-    while slots > 0:
-        tiles.append(min(slots, COLS_PER_ROW))
-        slots -= COLS_PER_ROW
-    return tiles
 
 
 def closed_form_gemv_latency(rows: int, cols: int, channels: int,
@@ -192,7 +172,7 @@ def closed_form_gemv_latency(rows: int, cols: int, channels: int,
         raise TimingError("rows, cols, channels must be positive")
     groups = math.ceil(rows / LANE)
     slots = math.ceil(cols / LANE)
-    per_bracket = sum(bracket_ns(n, t) for n in _group_tile_cols(cols))
+    per_bracket = sum(bracket_ns(n, t) for n in compiler.input_tiles(cols))
     best = 0.0
     for c in range(channels):
         g = groups // channels + (1 if c < groups % channels else 0)
@@ -214,7 +194,7 @@ def gemv_channel_commands(row_groups: int, cols: int,
             for i in range(math.ceil(cols / LANE))]
     row = 0
     for _ in range(row_groups):
-        for n in _group_tile_cols(cols):
+        for n in compiler.input_tiles(cols):
             cmds.append(DramCommand("ACTab", channel, row=row))
             cmds.extend(DramCommand("MACab", channel, row=row, col=i)
                         for i in range(n))
@@ -430,11 +410,10 @@ def _token_profile(layout, plan: MappingPlan, arch: ArchConfig,
             prof.cxl += cxl
             stage_ns[bl.master] = stage_ns.get(bl.master, 0.0) + compute + cxl
     # boundary handoffs counted for all replicas
-    word = layout.arch.word_B
     n_slots = compiler.slots_of(layout.model.d_model)
     n_boundaries = sum(1 for ev in plan.comm_schedule
                        if ev.kind == "SEND" and ev.label == "boundary")
-    prof.counts["CXL_B"] += n_boundaries * n_slots * word
+    prof.counts["CXL_B"] += n_boundaries * n_slots * WORD_B
 
     prof.step_ns = max(stage_ns.values(), default=prof.token_ns)
     return prof
@@ -540,7 +519,8 @@ def simulate_system(model: ModelSpec, plan: MappingPlan, arch: ArchConfig,
         breakdown_ns={k: agg[k] / n for k in
                       ("pim", "pnm", "dispatch", "cxl")},
         command_counts={k: counts[k] / n for k in counts},
-        flops_per_token=(counts["MACab"] / n / plan.dp_replicas) * LANE * 32,
+        flops_per_token=((counts["MACab"] / n / plan.dp_replicas)
+                         * LANE * 2 * BANKS),
         mac_microops_per_token=counts["MACab"] / n / plan.dp_replicas,
         channel_utilization={
             str(dev): {str(ch): b / last.step_ns

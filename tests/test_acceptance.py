@@ -50,9 +50,8 @@ def test_toy_model_matches_float_reference_within_budget():
     rows, cols = 32, 256
     w = funcsim.bf16(rng.normal(scale=0.05, size=(rows, cols)))
     x = funcsim.bf16(rng.normal(size=cols))
-    pl = compiler.TensorPlacement(name="w", kind=compiler.KIND_GEMV,
-                                  device=0, channels=(0,), rows=rows,
-                                  cols=cols, base_row=0)
+    pl = compiler.TensorPlacement(name="w", device=0, channels=(0,),
+                                  rows=rows, cols=cols, base_row=0)
     img = funcsim.MemoryImage(ARCH)
     funcsim.load_gemv_weights(img, pl, w)
     img.write_slots(0, 0, np.zeros(16))    # the shared zero pad

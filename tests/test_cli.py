@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cxlpim import cli
+from cxlpim import cli, energycost
 
 TOY_ARGS = ["--model", "toy", "--context", "64",
             "--prefill", "4", "--decode", "8", "--seq-gap", "1"]
@@ -48,7 +48,8 @@ def test_verify_two_device_pipeline_passes(capsys):
     # CompileError: 256 rows do not split over tp=3
     ["simulate", "--model", "toy", "--strategy", "hybrid", "--tp", "3",
      "--prefill", "0", "--decode", "16"],
-    # ConfigError at load: the lowering addresses 32 accumulation registers
+    # ConfigError at load: the 32 accumulation registers are fixed
+    # geometry, not a config field
     ["simulate", "--model", "toy", "--set", "arch.acc_registers=16",
      "--prefill", "0", "--decode", "16"],
 ])
@@ -56,18 +57,6 @@ def test_lowering_errors_exit_2_with_one_line(argv, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-
-
-def test_unsupported_geometry_rejected_at_load(capsys):
-    # the lowering hard-codes 64-column (2 KB) rows; a wider row buffer
-    # used to run and print the default's numbers
-    rc = cli.main(["simulate", "--model", "toy", "--set",
-                   "arch.row_buffer_B=4096", "--prefill", "0",
-                   "--decode", "16"])
-    assert rc == 2
-    assert capsys.readouterr().err == (
-        "error: row_buffer_B=4096 is not supported: the lowering "
-        "assumes 2048\n")
 
 
 def test_functional_simulation_error_exits_2(monkeypatch, capsys):
@@ -109,6 +98,28 @@ def test_report_matches_simulate(tmp_path):
     ta = json.loads((sim_dir / "tco.json").read_text())
     tb = json.loads((rep_dir / "tco.json").read_text())
     assert ta == tb
+
+
+def test_report_uses_the_arch_gpu_reference_like_simulate(tmp_path):
+    # an arch config's own GPU figures set the ratios of both commands
+    reference = energycost.load_reference_figures()
+    reference["tokens_per_s"] *= 2
+    arch = tmp_path / "arch.json"
+    arch.write_text(json.dumps(
+        {"arch": {"cost": {"gpu_reference": reference}}}))
+    shipped, sim_dir, rep_dir = (tmp_path / "base", tmp_path / "sim",
+                                 tmp_path / "rep")
+    assert cli.main(["simulate", *TOY_ARGS, "--out", str(shipped)]) == 0
+    assert cli.main(["simulate", *TOY_ARGS, "--arch", str(arch),
+                     "--out", str(sim_dir)]) == 0
+    assert cli.main(["report", "--model", "toy", "--arch", str(arch),
+                     "--report", str(sim_dir / "report.json"),
+                     "--out", str(rep_dir)]) == 0
+    ratios = json.loads((sim_dir / "ratios.json").read_text())
+    assert json.loads((rep_dir / "ratios.json").read_text()) == ratios
+    base = json.loads((shipped / "ratios.json").read_text())
+    assert ratios["throughput_ratio"] == pytest.approx(
+        base["throughput_ratio"] / 2)
 
 
 def test_set_override_changes_output(tmp_path):

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from cxlpim import cli
 from cxlpim.config import (
-    ArchConfig, ConfigError, ModelSpec, apply_overrides, block_footprint,
-    load_config,
+    LANE, ROW_SLOTS, WORD_B, ArchConfig, ConfigError, ModelSpec,
+    apply_overrides, arch_from_dict, block_footprint, load_config,
 )
 
 GB = 1024 ** 3
@@ -76,7 +77,8 @@ def test_derived_capacities():
     assert arch.channel_capacity_B == 512 * 1024 * 1024
     assert arch.device_capacity_B == 16 * GB
     assert arch.fleet_capacity_B == 512 * GB
-    assert arch.cols_per_row == 64
+    assert LANE * 2 == WORD_B             # 16 BF16 lanes per 256-bit word
+    assert ROW_SLOTS * WORD_B == 2 * 1024  # 2 KB rows
     assert arch.rows_per_bank == 16384
     assert arch.gb_slots == 64
     assert arch.sb_slots == 2048
@@ -90,15 +92,37 @@ def test_derived_throughput_and_bandwidth():
     assert abs(arch.fleet_internal_bandwidth_Bps / 512e12 - 1) < 0.03
 
 
-@pytest.mark.parametrize("name, value, assumed", [
-    ("word_bits", 512, 256), ("row_buffer_B", 4096, 2048),
-    ("acc_registers", 16, 32), ("banks_per_channel", 8, 16)])
-def test_hard_coded_geometry_rejected(name, value, assumed):
-    with pytest.raises(ConfigError,
-                       match=f"{name}={value} .* assumes {assumed}$"):
-        ArchConfig(**{name: value})
-    with pytest.raises(ConfigError, match=name):
-        apply_overrides(ArchConfig(), {name: str(value)})
+# former arch fields, at their old defaults: the fixed device geometry
+# (now config constants) and values nothing read. A config that names
+# one fails at load rather than being ignored.
+DELETED_FIELDS = {
+    "word_bits": 256, "row_buffer_B": 2048, "acc_registers": 32,
+    "banks_per_channel": 16, "bank_groups": 4,
+    "instruction_buffer_B": 2 * 1024 * 1024, "n_accumulators": 32,
+    "n_reduction_trees": 32, "n_exp_units": 32, "cxl.host_link_lanes": 16,
+}
+
+
+@pytest.mark.parametrize("path", sorted(DELETED_FIELDS))
+def test_deleted_arch_field_rejected(path, tmp_path, capsys):
+    value = DELETED_FIELDS[path]
+    *sections, name = path.split(".")
+    data = {name: value}
+    for section in reversed(sections):
+        data = {section: data}
+    unknown = rf"unknown field\(s\) \['{name}'\]"
+    with pytest.raises(ConfigError, match=unknown):
+        arch_from_dict(data)
+    config = tmp_path / "arch.json"
+    config.write_text(json.dumps({"arch": data}))
+    with pytest.raises(ConfigError, match=unknown):
+        load_config(config)
+    rc = cli.main(["simulate", "--model", "toy", "--set",
+                   f"arch.{path}={value}", "--prefill", "0",
+                   "--decode", "16"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: unknown config field: {name}\n")
 
 
 def test_apply_overrides_nested():

@@ -7,7 +7,8 @@ import math
 import pytest
 
 from cxlpim import energycost, mapper, timesim
-from cxlpim.config import ArchConfig, CostParams, EnergyParams, ModelSpec
+from cxlpim.config import (BANKS, ArchConfig, CostParams, EnergyParams,
+                           ModelSpec)
 
 ARCH = ArchConfig()
 E = ARCH.energy
@@ -55,7 +56,7 @@ def test_single_mac_column_energy():
     counts = make_counts(MACab=1)
     er = energycost.energy_from_counts(counts, 1e-9, E, ARCH)
     assert er.categories["mac"] == pytest.approx(
-        ARCH.banks_per_channel * E.e_mac_col_pJ * 1e-12)
+        BANKS * E.e_mac_col_pJ * 1e-12)
 
 
 def test_categories_sum_to_total_and_fractions_to_one():

@@ -10,9 +10,9 @@ from cxlpim import compiler as C
 from cxlpim import funcsim as F
 from cxlpim.funcsim import (
     DeadlockError, MemoryImage, PoisonError, SimError, bf16, bf16_round,
-    bf16_to_f32, compare, gemv_reference, load_gemv_weights, load_image,
+    bf16_to_f32, compare, gemv_reference, load_gemv_weights,
     load_kv_history, prepare_image, reference_block, reference_rope,
-    run_trace, save_image, taylor_exp, tp_groups,
+    run_trace, taylor_exp, tp_groups,
 )
 
 ARCH = ArchConfig()
@@ -41,9 +41,8 @@ def random_weights(model, rng, scale=0.05):
 
 
 def gemv_placement(rows, cols, channels=(0,)):
-    return C.TensorPlacement(name="w", kind=C.KIND_GEMV, device=0,
-                             channels=channels, rows=rows, cols=cols,
-                             base_row=0)
+    return C.TensorPlacement(name="w", device=0, channels=channels,
+                             rows=rows, cols=cols, base_row=0)
 
 
 def run_gemv(rows, cols, w, x, channels=(0,)):
@@ -399,31 +398,3 @@ def test_compare_reports():
     with pytest.raises(SimError, match="shape"):
         compare([1.0], [1.0, 2.0])
 
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-def test_checkpoint_round_trip(tmp_path):
-    rng = np.random.default_rng(11)
-    img = MemoryImage(ARCH)
-    img.write_slots(0, 40, rng.normal(size=64))
-    img.write_bank_row(0, 3, 7, 100, 16, rng.normal(size=32))
-    img.device(0).stab = -2.5
-    run_trace({0: [make_instruction("WR_GB", 0x8, 4, 0, 40)]}, img)
-    path = tmp_path / "img.bin"
-    save_image(img, path)
-    back = load_image(path)
-    a, b = img.device(0), back.device(0)
-    assert np.array_equal(a.sb, b.sb)
-    assert np.array_equal(a.sb_written, b.sb_written)
-    assert b.stab == -2.5
-    assert np.array_equal(a.banks[(3, 7)][100], b.banks[(3, 7)][100])
-    assert np.array_equal(a.gb[3], b.gb[3])
-    assert np.array_equal(a.gb_written[3], b.gb_written[3])
-
-
-def test_checkpoint_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTANIMG" + b"\0" * 64)
-    with pytest.raises(SimError, match="not a memory image"):
-        load_image(path)

@@ -4,8 +4,8 @@ import pytest
 
 from cxlpim.config import ArchConfig, ModelSpec
 from cxlpim.mapper import (
-    MappingError, check_plan, comm_volume, plan_hybrid, plan_pipeline,
-    plan_scaled, plan_tensor,
+    MappingError, comm_volume, plan_hybrid, plan_pipeline, plan_scaled,
+    plan_tensor,
 )
 
 ARCH = ArchConfig()
@@ -30,7 +30,6 @@ def test_pipeline_70b_32_devices():
     assert plan.idle_devices == tuple(range(27, 32))
     assert plan.batch_size == 80
     assert plan.blocks_per_device == 3
-    check_plan(plan, ARCH)
 
 
 def test_pipeline_channel_split_70b():
@@ -60,7 +59,6 @@ def test_pipeline_16_devices_70b():
     a = plan.block_assignments[-1]
     assert len(a.channels[0]) == 16
     assert a.footprint_B == 1711276032 + 80 * 8 * 1024 * 1024
-    check_plan(plan, ARCH)
 
 
 def test_pipeline_capacity_error():
@@ -86,7 +84,6 @@ def test_tensor_comm_volume_70b():
     assert vol.per_token_B == vol.per_block_B * 80
     kinds = Counter(e.kind for e in plan.comm_schedule)
     assert kinds == {"BROADCAST": 5 * 80, "GATHER": 5 * 80}
-    check_plan(plan, ARCH)
 
 
 def test_tensor_assignments_span_fleet():
@@ -109,7 +106,6 @@ def test_hybrid_8x4():
         (0, (8,)), (8, (16,)), (16, (24,))]
     kinds = Counter(e.kind for e in plan.comm_schedule)
     assert kinds["MULTICAST"] == 5 * 80 and kinds["GATHER"] == 5 * 80
-    check_plan(plan, ARCH)
 
 
 def test_hybrid_tp1_degenerates_to_pipeline():
@@ -155,7 +151,6 @@ def test_scaled_80_devices_replicates():
     assert len(counts) == 80 and set(counts.values()) == {2}
     replicas = {a.replica for a in plan.block_assignments}
     assert replicas == {0, 1}
-    check_plan(plan, ARCH)
 
 
 def test_scaled_16_devices_is_plain_pipeline():

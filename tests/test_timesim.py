@@ -8,7 +8,8 @@ from collections import Counter
 
 from cxlpim import compiler, isa, mapper, timesim
 from cxlpim.compiler import ChannelStats
-from cxlpim.config import ArchConfig, CxlParams, ModelSpec, TimingParams
+from cxlpim.config import (WORD_B, ArchConfig, CxlParams, ModelSpec,
+                           TimingParams)
 from cxlpim.timesim import (
     DramCommand, SimReport, TimingError, bracket_ns, channel_busy_ns,
     closed_form_gemv_latency, cxl_transfer_time, device_times,
@@ -123,16 +124,6 @@ def test_adding_commands_never_decreases_finish():
     f0 = simulate_channel(base, T).finish_ns
     f1 = simulate_channel(base + bracket(8, row=1), T).finish_ns
     assert f1 >= f0
-
-
-def test_event_log_csv(tmp_path):
-    tl = simulate_channel(bracket(1), T)
-    out = tmp_path / "events.csv"
-    tl.write_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "time_ns,channel,command,bank,row,col"
-    assert lines[1].startswith("0.000,0,ACTab,all,0,")
-    assert len(lines) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +313,7 @@ def test_bad_query_shapes_rejected():
 def test_gemv_work_conservation():
     # every MAC micro-op is 16 bank-columns x 16 lanes x mul-add
     pl = compiler.TensorPlacement(
-        name="w", kind=compiler.KIND_GEMV, device=0, channels=(0,),
-        rows=16, cols=1024, base_row=0)
+        name="w", device=0, channels=(0,), rows=16, cols=1024, base_row=0)
     insts = compiler.lower_gemv(16, 1024, pl, vec_slot=0, cfg=ARCH)
     mac = sum(isa.microop_count(i.opcode, i.operands) for i in insts
               if i.opcode == "MAC_ABK")
@@ -411,7 +401,7 @@ def _reference_token_profile(layout, plan, arch, pos):
     n_boundaries = sum(1 for ev in plan.comm_schedule
                        if ev.kind == "SEND" and ev.label == "boundary")
     counts["CXL_B"] += (n_boundaries * compiler.slots_of(layout.model.d_model)
-                        * arch.word_B)
+                        * WORD_B)
     step = max(stage_ns.values(), default=token)
     return token, step, pim, pnm, dispatch, cxl_total, counts, busy
 
