@@ -99,6 +99,15 @@ def _fmt(v: float) -> str:
     return format(v, ".6g")
 
 
+def _price(rep, arch: ArchConfig):
+    """Energy and TCO reports of a simulated (or saved) report."""
+    er = energycost.energy_from_activity(rep, arch.energy, arch)
+    tco = energycost.tco_report(arch.cost, er.fleet_W, rep.tokens_per_s,
+                                n_devices=arch.n_devices,
+                                host_W=arch.energy.p_host_W)
+    return er, tco
+
+
 def run_config(spec: dict) -> dict:
     """Execute one configuration; returns the CSV row as a dict.
 
@@ -123,10 +132,7 @@ def run_config(spec: dict) -> dict:
     rep = timesim.simulate_system(model, plan, arch, prefill_tokens=prefill,
                                   decode_tokens=decode,
                                   seq_gap=int(spec.get("seq_gap", 128)))
-    er = energycost.energy_from_activity(rep, arch.energy, arch)
-    tco = energycost.tco_report(arch.cost, er.fleet_W, rep.tokens_per_s,
-                                n_devices=arch.n_devices,
-                                host_W=arch.energy.p_host_W)
+    er, tco = _price(rep, arch)
     n_devices = int(spec.get("devices") or arch.n_devices)
     return {
         "model": model.name,
@@ -340,10 +346,7 @@ def _cmd_simulate(args) -> int:
                                   prefill_tokens=args.prefill,
                                   decode_tokens=decode,
                                   seq_gap=args.seq_gap)
-    er = energycost.energy_from_activity(rep, arch.energy, arch)
-    tco = energycost.tco_report(arch.cost, er.fleet_W, rep.tokens_per_s,
-                                n_devices=arch.n_devices,
-                                host_W=arch.energy.p_host_W)
+    er, tco = _price(rep, arch)
     ratios = _ratios(rep.tokens_per_s, er, tco, _gpu_reference(args, arch))
     if args.out:
         out = Path(args.out)
@@ -360,10 +363,7 @@ def _cmd_report(args) -> int:
     model, arch = _load_configs(args.model, args.arch, args.set)
     data = json.loads(Path(args.report).read_text())
     rep = SimpleNamespace(**data)
-    er = energycost.energy_from_activity(rep, arch.energy, arch)
-    tco = energycost.tco_report(arch.cost, er.fleet_W, rep.tokens_per_s,
-                                n_devices=arch.n_devices,
-                                host_W=arch.energy.p_host_W)
+    er, tco = _price(rep, arch)
     ratios = _ratios(rep.tokens_per_s, er, tco, _gpu_reference(args, arch))
     _save_run_artifacts(Path(args.out), rep, er, tco, ratios)
     print(f"energy/tco artifacts written to {args.out}")

@@ -18,9 +18,11 @@ Traces are emitted through a sink as an opcode and its operand tuple.
 Both sinks keep instruction/micro-op counters and per-channel activity
 statistics (for timing and energy), counted from the operand tuple.
 ListSink also builds each instruction with isa.make_instruction and
-keeps it for the functional simulator; CountSink only range-checks the
+keeps it for the functional simulator; CountSink only checks the
 operands with isa.check_operands and builds nothing. Either way every
-emitted instruction is checked exactly once.
+emitted instruction is checked exactly once, against every ISA rule:
+operand ranges and the row, Global Buffer and Shared Buffer extents of
+its runs.
 
 A block lowers as three segments: before_core (RMSNorm, QKV), the
 attention core (RoPE, KV append, per-head attention) and after_core
@@ -58,8 +60,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .config import (BANK_GROUPS, LANE, REGS, ROW_SLOTS, WORD_B, ArchConfig,
-                     ModelSpec)
+from .config import (BANK_GROUPS, BANKS, LANE, REGS, ROW_SLOTS, WORD_B,
+                     ArchConfig, ModelSpec)
 from . import isa
 from .isa import Instruction, make_instruction
 from .mapper import MappingPlan, BlockAssignment
@@ -235,13 +237,11 @@ class KvCachePlacement:
 
 @dataclass
 class ChannelStats:
-    col_cmds: int = 0            # column commands issued inside brackets
     bracket_hist: Counter = field(default_factory=Counter)  # cols -> count
     wr_gb: int = 0               # Global Buffer column writes
     rd_mac: int = 0              # accumulator drains (tCL each)
 
     def merge(self, other: "ChannelStats", factor: int = 1) -> None:
-        self.col_cmds += other.col_cmds * factor
         for k, v in other.bracket_hist.items():
             self.bracket_hist[k] += v * factor
         self.wr_gb += other.wr_gb * factor
@@ -257,7 +257,6 @@ class TraceSummary:
     riscv_slots: Counter = field(default_factory=Counter)  # routine kind
     pnm_microops: int = 0
     cxl_sent_B: int = 0
-    cxl_recv: int = 0
 
     def merge(self, other: "TraceSummary", factor: int = 1,
               chan_map: Optional[dict] = None) -> None:
@@ -274,7 +273,6 @@ class TraceSummary:
             self.channels.setdefault(dst, ChannelStats()).merge(st, factor)
         self.pnm_microops += other.pnm_microops * factor
         self.cxl_sent_B += other.cxl_sent_B * factor
-        self.cxl_recv += other.cxl_recv * factor
 
     @property
     def total_instructions(self) -> int:
@@ -293,10 +291,8 @@ class TraceSummary:
             "riscv_slots": dict(self.riscv_slots),
             "pnm_microops": self.pnm_microops,
             "cxl_sent_B": self.cxl_sent_B,
-            "cxl_recv": self.cxl_recv,
             "channels": {
-                str(ch): {"col_cmds": st.col_cmds,
-                          "wr_gb": st.wr_gb,
+                str(ch): {"wr_gb": st.wr_gb,
                           "rd_mac": st.rd_mac,
                           "bracket_hist": {str(k): v for k, v in
                                            sorted(st.bracket_hist.items())}}
@@ -324,7 +320,7 @@ _COUNT_PLAN = {op: _count_plan(op) for op in isa.OPCODE_FIELDS}
 class CountSink:
     """Accumulates activity counters; never materializes instructions.
 
-    `emit` range-checks each instruction with `isa.check_operands` and
+    `emit` checks each instruction with `isa.check_operands` and
     counts it straight from its operand tuple, so no `Instruction` is
     built.
 
@@ -356,7 +352,7 @@ class CountSink:
     def emit(self, opcode: str, operands: tuple,
              riscv_kind: Optional[str] = None, **flags) -> None:
         """Count one instruction given as its opcode, its operands in
-        assembly order and make_instruction's keyword flags."""
+        OPCODE_FIELDS order and make_instruction's keyword flags."""
         isa.check_operands(opcode, operands, cfg=self.cfg, **flags)
         self._count(opcode, operands, riscv_kind)
 
@@ -376,7 +372,6 @@ class CountSink:
             ro = operands[ro_i]
             for ch in chans:
                 st = self._stats(ch)
-                st.col_cmds += opsize
                 cur = self._open.get(ch)
                 if cur is None:
                     self._open[ch] = self._first[ch] = [ro, opsize]
@@ -398,8 +393,6 @@ class CountSink:
                 s.riscv_slots[riscv_kind or "generic"] += opsize
         elif op in ("SEND_CXL", "BCAST_CXL"):
             s.cxl_sent_B += WORD_B
-        elif op == "RECV_CXL":
-            s.cxl_recv += 1
 
     def _stats(self, ch: int) -> ChannelStats:
         st = self.summary.channels.get(ch)
@@ -447,7 +440,7 @@ class CountSink:
 class ListSink(CountSink):
     """Materializes the instruction stream alongside the counters:
     `emit` builds each instruction with `isa.make_instruction` (which
-    range-checks it), counts its operands as `CountSink` does and keeps
+    checks it), counts its operands as `CountSink` does and keeps
     it."""
 
     def __init__(self, device: int, cfg: ArchConfig):
@@ -666,7 +659,7 @@ def build_layout(model: ModelSpec, plan: MappingPlan,
                                 zero=True)
 
         # neighbor-pair scratch for the RMSNorm self dot product
-        pair_slots = -(-S // 8)
+        pair_slots = -(-S // (BANKS // 2))
         rms_rows = -(-pair_slots // ROW_SLOTS)
         rms_row = take_shared("rms_in", master, (norm_ch,), rms_rows,
                               zero=True)
@@ -945,10 +938,11 @@ class BlockLowering:
         m, sb, em = self.model, self.sb, self.me
         ch = self.bl.norm_channel
         S = self._d_slots()
-        pair_slots = -(-S // 8)
-        # duplicate each eighth of the vector into both banks of its
-        # neighbor pair so the pair dot product accumulates x*x
-        for p in range(8):
+        pairs = BANKS // 2
+        pair_slots = -(-S // pairs)
+        # duplicate each pair's share of the vector into both banks of
+        # the pair so the pair dot product accumulates x*x
+        for p in range(pairs):
             seg = min(pair_slots, S - p * pair_slots)
             if seg <= 0:
                 break
@@ -1012,11 +1006,13 @@ class BlockLowering:
         for h in range(n_heads):
             x = base_slot + h * dh
             em.riscv("rope_pack", dh, sb.tmp, x)   # pairwise swap-negate
-            em.i("WR_SBK", ch, dh, 1, row, co, x)
-            em.i("WR_SBK", ch, dh, 5, row, co, sb.tmp)
+            # bank-group triples: group 0 multiplies x by the cos
+            # table, group 1 the packed x by the sin table
+            for g, src in enumerate((x, sb.tmp)):
+                em.i("WR_SBK", ch, dh, BANK_GROUPS * g + 1, row, co, src)
             em.i("EW_MUL", 1 << ch, dh, row, co)
-            em.i("RD_SBK", ch, dh, 2, row, co, sb.tmp)
-            em.i("RD_SBK", ch, dh, 6, row, co, sb.tmp + dh)
+            for g, dst in enumerate((sb.tmp, sb.tmp + dh)):
+                em.i("RD_SBK", ch, dh, BANK_GROUPS * g + 2, row, co, dst)
             em.riscv("rope_combine", dh, x, sb.tmp, params=(dh,))
 
     def attention(self) -> None:

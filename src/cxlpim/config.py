@@ -175,7 +175,6 @@ class ArchConfig:
     bank_capacity_B: int = 32 * MB
     global_buffer_B: int = 2 * KB
     shared_buffer_B: int = 64 * KB
-    pu_clock_Hz: float = 1e9
     pnm_clock_Hz: float = 2e9
     n_scalar_cores: int = 8
     timing: TimingParams = field(default_factory=TimingParams)
@@ -210,24 +209,6 @@ class ArchConfig:
     @property
     def device_capacity_B(self) -> int:
         return self.channels_per_device * self.channel_capacity_B  # 16 GB
-
-    @property
-    def fleet_capacity_B(self) -> int:
-        return self.n_devices * self.device_capacity_B
-
-    @property
-    def channel_flops(self) -> float:
-        # 16 PUs x 16-wide MAC (mul+add) per PU clock
-        return BANKS * LANE * 2 * self.pu_clock_Hz
-
-    @property
-    def fleet_pim_flops(self) -> float:
-        return self.n_devices * self.channels_per_device * self.channel_flops
-
-    @property
-    def fleet_internal_bandwidth_Bps(self) -> float:
-        return (self.n_devices * self.channels_per_device *
-                BANKS * WORD_B * self.pu_clock_Hz)
 
 
 def block_footprint(model: ModelSpec, context: int) -> tuple[int, int]:

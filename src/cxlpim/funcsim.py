@@ -192,12 +192,6 @@ class MemoryImage:
             raise PoisonError(f"read of unwritten slots at {base}")
         return bf16_to_f32(st.sb[base:base + n]).reshape(-1)[:n_elems]
 
-    def write_bank_row(self, dev: int, ch: int, bank: int, row: int,
-                      start_elem: int, values) -> None:
-        v = bf16_round(np.asarray(values, dtype=np.float32).reshape(-1))
-        arr = self.device(dev).bank_row(ch, bank, row, True, False)
-        arr[start_elem:start_elem + len(v)] = v
-
     def zero_rows(self, dev: int, ch: int, rows) -> None:
         st = self.device(dev)
         for bank in range(BANKS):
@@ -248,8 +242,9 @@ def rope_angles(d_head: int, position: int) -> np.ndarray:
 
 
 def load_rope_tables(image: MemoryImage, layout: Layout, block: int) -> None:
-    """cos table in bank 0, sin table in bank 4, one column run per
-    position; each pair angle occupies both interleaved lanes."""
+    """cos table in the weight bank of bank group 0, sin table in that
+    of group 1, one column run per position; each pair angle occupies
+    both interleaved lanes."""
     bl = layout.blocks[block]
     m = layout.model
     dh = slots_of(m.d_head)
@@ -261,8 +256,9 @@ def load_rope_tables(image: MemoryImage, layout: Layout, block: int) -> None:
         sin = np.repeat(np.sin(theta), 2).astype(np.float32)
         row = bl.rope_base_row + pos // per_row
         off = (pos % per_row) * dh * LANE
-        for bank, tab in ((0, cos), (4, sin)):
-            arr = st.bank_row(bl.norm_channel, bank, row, True, False)
+        for g, tab in enumerate((cos, sin)):
+            arr = st.bank_row(bl.norm_channel, BANK_GROUPS * g, row, True,
+                              False)
             arr[off:off + len(tab)] = bf16_round(tab)
 
 
@@ -706,9 +702,10 @@ def _hw_rmsnorm(x, w, d: int, eps: float = 1e-5) -> np.ndarray:
     sums of squares (each element counted twice), BF16 drain, PNM tree
     reduction, scalar-core rsqrt, then two BF16 multiplies."""
     S = slots_of(d)
-    ps = -(-S // 8)
+    pairs = BANKS // 2
+    ps = -(-S // pairs)
     partials = []
-    for p in range(8):
+    for p in range(pairs):
         seg = x[p * ps * LANE:min((p + 1) * ps, S) * LANE]
         acc = _gemv_acc(seg.reshape(1, -1), seg)[0]
         partials.extend([acc, acc])

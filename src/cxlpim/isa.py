@@ -1,8 +1,15 @@
-"""Instruction set: assembly format, decoding, and micro-op expansion.
+"""Instruction set: opcodes, operand rules and micro-op counts.
 
-One instruction per line, whitespace-separated operands, `#` comments.
-CHmask is written in hex, everything else in decimal. A trace file is
-scoped to one CXL device.
+An instruction is an opcode, its operands in the order OPCODE_FIELDS
+lists them, and the MAC_ABK source, COPY bank and RED mode flags. An
+instruction stream is scoped to one CXL device.
+
+`check_operands` holds every rule a legal instruction obeys: each
+operand in range, a column run inside one DRAM row, a WR_GB run inside
+the Global Buffer and each Shared Buffer slot run inside the Shared
+Buffer. `make_instruction`, both compiler sinks and `validate_trace`
+call it, so every emitted instruction is held to the same rules.
+`microop_count` gives the micro-ops an instruction expands to.
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ from typing import Optional
 
 from .config import BANKS, RED_TREES, REGS, ROW_SLOTS, ArchConfig
 
-# operand order matches the assembly format exactly
 OPCODE_FIELDS: dict[str, tuple[str, ...]] = {
     "MAC_ABK":   ("CHmask", "OPsize", "RO", "CO", "Regid"),
     "EW_MUL":    ("CHmask", "OPsize", "RO", "CO"),
@@ -41,8 +47,6 @@ FIELD_INDEX: dict[str, dict[str, int]] = {
 
 ARITHMETIC_OPCODES = frozenset(
     {"MAC_ABK", "EW_MUL", "AF", "EXP", "RED", "ACC", "RISCV"})
-DATA_MOVEMENT_OPCODES = frozenset(OPCODE_FIELDS) - ARITHMETIC_OPCODES
-CXL_OPCODES = frozenset({"SEND_CXL", "RECV_CXL", "BCAST_CXL"})
 
 # opcodes whose OPsize micro-ops walk DRAM columns CO+i
 _COLUMN_WALKERS = frozenset({"MAC_ABK", "EW_MUL", "COPY_BKGB", "COPY_GBBK",
@@ -53,14 +57,13 @@ _SLOT_RUNS = {"EXP": ("Rs", "Rd"), "RED": ("Rs",), "ACC": ("Rs", "Rd"),
               "WR_GB": ("Rs",)}
 
 AF_NAMES = {0: "SILU", 1: "GELU", 2: "SIGMOID", 3: "TANH"}
-AF_IDS = {v: k for k, v in AF_NAMES.items()}
 
 
 class IsaError(ValueError):
     pass
 
 
-# the config whose operand ranges apply when none is given
+# the config whose operand rules apply when none is given
 _DEFAULT_ARCH = ArchConfig()
 
 
@@ -85,27 +88,19 @@ class Instruction:
             raise AttributeError(name)
         return self.operands[i]
 
-    def get(self, name: str, default: Optional[int] = None) -> Optional[int]:
-        i = FIELD_INDEX[self.opcode].get(name)
-        return default if i is None else self.operands[i]
 
-
-@dataclass(frozen=True)
-class MicroOp:
-    opcode: str
-    channel: Optional[int]   # None for PNM / CXL micro-ops
-    banks: tuple[int, ...]
-    row: Optional[int]
-    col: Optional[int]
-    slot: Optional[int]
-    seq: int
-
-
-def _range_table(cfg: Optional[ArchConfig]) -> dict:
-    """Operand field name -> (inclusive lower, exclusive upper) bound."""
+def _operand_rules(cfg: Optional[ArchConfig]) -> dict:
+    """opcode -> (bounds, extents), built once per config and cached on
+    it. `bounds` is ((name, lo, hi), ...) in operand order, each operand
+    in [lo, hi). `extents` is ((base index, OPsize index, limit,
+    message), ...): operands[base] + OPsize must not exceed limit, and
+    `message` is formatted with both when it does."""
     cfg = cfg or _DEFAULT_ARCH
+    cached = getattr(cfg, "_isa_rules", None)
+    if cached is not None:
+        return cached
     chans = cfg.channels_per_device
-    return {
+    table = {
         "CHmask": (1, 1 << chans),
         "CHid":   (0, chans),
         "OPsize": (1, 1 << 16),
@@ -119,42 +114,43 @@ def _range_table(cfg: Optional[ArchConfig]) -> dict:
         "DVid":   (0, cfg.n_devices),
         "DVcount": (1, 256),
         "PC":     (0, 1 << 32),
-        "GBslot": (0, cfg.gb_slots),
     }
-
-
-def _field_range(name: str, cfg: Optional[ArchConfig]) -> tuple[int, int]:
-    """Inclusive lower bound, exclusive upper bound for an operand field."""
-    return _range_table(cfg)[name]
-
-
-def _operand_bounds(cfg: Optional[ArchConfig]) -> dict:
-    """opcode -> ((name, lo, hi), ...) in operand order, built once per
-    config and cached on it."""
-    cfg = cfg or _DEFAULT_ARCH
-    cached = getattr(cfg, "_isa_bounds", None)
-    if cached is not None:
-        return cached
-    table = _range_table(cfg)
-    # WR_GB's CO indexes Global Buffer slots, not DRAM columns
-    bounds = {op: tuple((name, *table["GBslot" if op == "WR_GB"
-                                      and name == "CO" else name])
-                        for name in fields)
-              for op, fields in OPCODE_FIELDS.items()}
-    object.__setattr__(cfg, "_isa_bounds", bounds)
-    return bounds
+    rules = {}
+    for op, fields in OPCODE_FIELDS.items():
+        idx = FIELD_INDEX[op]
+        bounds = [(name, *table[name]) for name in fields]
+        extents = []
+        if op == "WR_GB":
+            # WR_GB's CO indexes Global Buffer slots, not DRAM columns
+            bounds[idx["CO"]] = ("CO", 0, cfg.gb_slots)
+            extents.append((idx["CO"], idx["OPsize"], cfg.gb_slots,
+                            "WR_GB: slots {}+{} exceed Global Buffer "
+                            f"({cfg.gb_slots} slots)"))
+        elif op in _COLUMN_WALKERS:
+            extents.append((idx["CO"], idx["OPsize"], ROW_SLOTS,
+                            f"{op}: columns {{}}+{{}} cross the row boundary "
+                            f"({ROW_SLOTS} columns per row); split at rows"))
+        for name in _SLOT_RUNS.get(op, ()):
+            extents.append((idx[name], idx["OPsize"], cfg.sb_slots,
+                            f"{op}: {name}={{}} run of {{}} exceeds Shared "
+                            f"Buffer ({cfg.sb_slots} slots)"))
+        rules[op] = (tuple(bounds), tuple(extents))
+    object.__setattr__(cfg, "_isa_rules", rules)
+    return rules
 
 
 def check_operands(opcode: str, operands: tuple, *, source_select: str = "GB",
                    copy_bank: int = 0, red_mode: str = "SUM",
                    cfg: Optional[ArchConfig] = None) -> None:
-    """Raise IsaError unless `opcode` is known and `operands` (in
-    assembly order) and the flags are in range. `copy_bank` takes any
-    value; it is accepted so that callers can pass make_instruction's
-    keywords through unchanged."""
-    bounds = _operand_bounds(cfg).get(opcode)
-    if bounds is None:
+    """Raise IsaError unless `opcode` is known, `operands` (in
+    OPCODE_FIELDS order) are in range, every column and slot run they
+    start stays inside its row or buffer, and the flags are valid.
+    `copy_bank` takes any value; it is accepted so that callers can pass
+    make_instruction's keywords through unchanged."""
+    rules = _operand_rules(cfg).get(opcode)
+    if rules is None:
         raise IsaError(f"unknown mnemonic: {opcode}")
+    bounds, extents = rules
     if len(operands) != len(bounds):
         fields = OPCODE_FIELDS[opcode]
         raise IsaError(f"{opcode}: expected {len(fields)} operands "
@@ -163,6 +159,9 @@ def check_operands(opcode: str, operands: tuple, *, source_select: str = "GB",
         if not lo <= value < hi:
             raise IsaError(
                 f"{opcode}: operand {name}={value} out of range [{lo}, {hi})")
+    for base, size, limit, message in extents:
+        if operands[base] + operands[size] > limit:
+            raise IsaError(message.format(operands[base], operands[size]))
     if source_select not in ("GB", "BANK"):
         raise IsaError(f"MAC_ABK source must be GB or BANK, got {source_select}")
     if red_mode not in ("SUM", "MAX"):
@@ -179,136 +178,18 @@ def make_instruction(opcode: str, *operands: int, source_select: str = "GB",
                        red_mode=red_mode)
 
 
-def parse_instruction(line: str, cfg: Optional[ArchConfig] = None) -> Instruction:
-    text = line.split("#", 1)[0].strip()
-    if not text:
-        raise IsaError("empty instruction line")
-    tokens = text.split()
-    opcode = tokens[0]
-    if opcode not in OPCODE_FIELDS:
-        raise IsaError(f"unknown mnemonic: {opcode!r}")
-    fields = OPCODE_FIELDS[opcode]
-    args = tokens[1:]
-
-    source_select = "GB"
-    copy_bank = 0
-    red_mode = "SUM"
-    if opcode == "MAC_ABK" and len(args) == len(fields) + 1:
-        suffix = args.pop()
-        if suffix not in ("GB", "BANK"):
-            raise IsaError(f"MAC_ABK: bad source suffix {suffix!r}")
-        source_select = suffix
-    elif opcode == "RED" and len(args) == len(fields) + 1:
-        suffix = args.pop()
-        if suffix not in ("SUM", "MAX"):
-            raise IsaError(f"RED: bad mode suffix {suffix!r}")
-        red_mode = suffix
-    elif opcode in ("COPY_BKGB", "COPY_GBBK") and len(args) == len(fields) + 1:
-        copy_bank = _parse_int(opcode, "BK", args.pop(), len(fields) + 1)
-
-    if len(args) != len(fields):
-        raise IsaError(f"{opcode}: expected {len(fields)} operands "
-                       f"({' '.join(fields)}), got {len(args)}")
-    values = []
-    for pos, (name, tok) in enumerate(zip(fields, args), start=1):
-        if name == "AFid" and tok in AF_IDS:
-            values.append(AF_IDS[tok])
-        else:
-            values.append(_parse_int(opcode, name, tok, pos))
-    return make_instruction(opcode, *values, source_select=source_select,
-                            copy_bank=copy_bank, red_mode=red_mode, cfg=cfg)
-
-
-def _parse_int(opcode: str, name: str, tok: str, pos: int) -> int:
-    try:
-        return int(tok, 16) if tok.lower().startswith("0x") else int(tok, 10)
-    except ValueError:
-        raise IsaError(
-            f"{opcode}: operand {pos} ({name}): bad token {tok!r}") from None
-
-
-def format_instruction(inst: Instruction) -> str:
-    parts = [inst.opcode]
-    for name, value in zip(OPCODE_FIELDS[inst.opcode], inst.operands):
-        if name == "CHmask":
-            parts.append(f"0x{value:X}")
-        elif name == "AFid":
-            parts.append(AF_NAMES[value])
-        else:
-            parts.append(str(value))
-    if inst.opcode == "MAC_ABK" and inst.source_select == "BANK":
-        parts.append("BANK")
-    if inst.opcode == "RED" and inst.red_mode == "MAX":
-        parts.append("MAX")
-    if inst.opcode in ("COPY_BKGB", "COPY_GBBK") and inst.copy_bank != 0:
-        parts.append(str(inst.copy_bank))
-    return " ".join(parts)
-
-
 def mask_channels(mask: int) -> list[int]:
     if not mask & (mask - 1):  # one channel (or none): most masks
         return [mask.bit_length() - 1] if mask else []
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def expand_microops(inst: Instruction, cfg: ArchConfig) -> list[MicroOp]:
-    op = inst.opcode
-    all_banks = tuple(range(BANKS))
-    opsize = inst.get("OPsize", 1)
-    out: list[MicroOp] = []
-
-    if "CHmask" in OPCODE_FIELDS[op]:
-        channels = mask_channels(inst.CHmask)
-        if not channels:
-            raise IsaError(f"{op}: empty channel mask")
-        co = inst.get("CO")
-        if op == "WR_GB":
-            if co + opsize > cfg.gb_slots:
-                raise IsaError(f"WR_GB: slots {co}+{opsize} exceed Global "
-                               f"Buffer ({cfg.gb_slots} slots)")
-        elif op in _COLUMN_WALKERS and co is not None:
-            if co + opsize > ROW_SLOTS:
-                raise IsaError(
-                    f"{op}: columns {co}+{opsize} cross the row boundary "
-                    f"({ROW_SLOTS} columns per row); split at rows")
-        for ch in channels:
-            if op in ("MAC_ABK", "EW_MUL", "COPY_BKGB", "COPY_GBBK", "WR_GB"):
-                for i in range(opsize):
-                    slot = inst.Rs + i if op == "WR_GB" else None
-                    out.append(MicroOp(op, ch, all_banks, inst.get("RO"),
-                                       co + i, slot, i))
-            else:  # AF, WR_BIAS, RD_MAC
-                slot = inst.get("Rs", inst.get("Rd"))
-                out.append(MicroOp(op, ch, all_banks, None, None, slot, 0))
-        return out
-
-    if "CHid" in OPCODE_FIELDS[op]:
-        ch = inst.CHid
-        if op == "WR_ABK":
-            return [MicroOp(op, ch, all_banks, inst.RO, inst.CO, inst.Rs, 0)]
-        if inst.CO + opsize > ROW_SLOTS:
-            raise IsaError(
-                f"{op}: columns {inst.CO}+{opsize} cross the row boundary "
-                f"({ROW_SLOTS} columns per row); split at rows")
-        slot_base = inst.Rs if op == "WR_SBK" else inst.Rd
-        return [MicroOp(op, ch, (inst.BK,), inst.RO, inst.CO + i,
-                        slot_base + i, i) for i in range(opsize)]
-
-    if op == "RED":
-        # all reduction trees run in parallel; one micro-op ingests a
-        # chunk of up to RED_TREES slots
-        return [MicroOp(op, None, (), None, None, inst.Rs + i * RED_TREES, i)
-                for i in range((opsize + RED_TREES - 1) // RED_TREES)]
-    if op in ("EXP", "ACC", "RISCV"):
-        return [MicroOp(op, None, (), None, None, inst.Rs + i, i)
-                for i in range(opsize)]
-    # SEND_CXL / RECV_CXL / BCAST_CXL
-    slot = inst.get("Rs")
-    return [MicroOp(op, None, (), None, None, slot, 0)]
-
-
 def microop_count(opcode: str, operands: tuple) -> int:
-    """Micro-op count by formula, without materializing the expansion."""
+    """Micro-ops the instruction expands to: OPsize per channel for the
+    CHmask opcodes that walk columns or Global Buffer slots, one per
+    channel for the other CHmask opcodes, one per chunk of RED_TREES
+    slots for RED, OPsize for the other OPsize opcodes and one for the
+    rest."""
     idx = FIELD_INDEX[opcode]
     i = idx.get("OPsize")
     opsize = 1 if i is None else operands[i]
@@ -341,7 +222,8 @@ class ValidationReport:
 
 
 def validate_trace(trace, cfg: ArchConfig) -> ValidationReport:
-    """Check operand ranges, slot-run overflows, and SEND/RECV pairing.
+    """Check every instruction with `check_operands`, and SEND/RECV
+    pairing.
 
     `trace` is either a list of Instructions (one device) or a mapping
     of device id to instruction list (pairing is checked fleet-wide).
@@ -361,17 +243,9 @@ def validate_trace(trace, cfg: ArchConfig) -> ValidationReport:
                                source_select=inst.source_select,
                                copy_bank=inst.copy_bank,
                                red_mode=inst.red_mode, cfg=cfg)
-                expand_microops(inst, cfg)
             except IsaError as e:
                 report.findings.append(Finding(dev, idx, "range", str(e)))
                 continue
-            for run_field in _SLOT_RUNS.get(inst.opcode, ()):
-                base = inst.get(run_field)
-                if base + inst.get("OPsize", 1) > cfg.sb_slots:
-                    report.findings.append(Finding(
-                        dev, idx, "slot-overflow",
-                        f"{inst.opcode}: {run_field}={base} run of "
-                        f"{inst.get('OPsize', 1)} exceeds {cfg.sb_slots} slots"))
             if inst.opcode == "SEND_CXL":
                 expected_recv[inst.DVid] = expected_recv.get(inst.DVid, 0) + 1
             elif inst.opcode == "BCAST_CXL":
@@ -389,15 +263,3 @@ def validate_trace(trace, cfg: ArchConfig) -> ValidationReport:
                 f"device {dev}: {want} sends targeting it, {got} receives"))
     return report
 
-
-def parse_trace(text: str, cfg: Optional[ArchConfig] = None) -> list[Instruction]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        try:
-            out.append(parse_instruction(body, cfg))
-        except IsaError as e:
-            raise IsaError(f"line {lineno}: {e}") from None
-    return out

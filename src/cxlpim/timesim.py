@@ -207,9 +207,6 @@ def gemv_channel_commands(row_groups: int, cols: int,
 # ---------------------------------------------------------------------------
 # CXL transfer model
 
-CXL_KINDS = ("P2P", "BROADCAST", "MULTICAST", "GATHER", "SEND")
-
-
 def cxl_transfer_time(payload_B: float, kind: str, fanout: int,
                       c: CxlParams) -> float:
     """Analytic switch-fabric transfer time in ns.

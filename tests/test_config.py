@@ -76,20 +76,11 @@ def test_derived_capacities():
     arch = ArchConfig()
     assert arch.channel_capacity_B == 512 * 1024 * 1024
     assert arch.device_capacity_B == 16 * GB
-    assert arch.fleet_capacity_B == 512 * GB
     assert LANE * 2 == WORD_B             # 16 BF16 lanes per 256-bit word
     assert ROW_SLOTS * WORD_B == 2 * 1024  # 2 KB rows
     assert arch.rows_per_bank == 16384
     assert arch.gb_slots == 64
     assert arch.sb_slots == 2048
-
-
-def test_derived_throughput_and_bandwidth():
-    arch = ArchConfig()
-    # 16 PUs x 32 GFLOPS per channel
-    assert arch.channel_flops == 16 * 32e9
-    assert abs(arch.fleet_pim_flops / 512e12 - 1) < 0.03
-    assert abs(arch.fleet_internal_bandwidth_Bps / 512e12 - 1) < 0.03
 
 
 # former arch fields, at their old defaults: the fixed device geometry
@@ -100,6 +91,7 @@ DELETED_FIELDS = {
     "banks_per_channel": 16, "bank_groups": 4,
     "instruction_buffer_B": 2 * 1024 * 1024, "n_accumulators": 32,
     "n_reduction_trees": 32, "n_exp_units": 32, "cxl.host_link_lanes": 16,
+    "pu_clock_Hz": 1e9,
 }
 
 

@@ -186,7 +186,7 @@ def test_refresh_inflates_latency():
 def test_channel_busy_matches_closed_form():
     # 32x2048 on one channel: 2 groups x 2 row tiles, 128 buffer loads,
     # 2 accumulator drains
-    st = ChannelStats(col_cmds=256, wr_gb=128, rd_mac=2)
+    st = ChannelStats(wr_gb=128, rd_mac=2)
     st.bracket_hist[64] = 4
     assert channel_busy_ns(st, T) == closed_form_gemv_latency(32, 2048, 1, T)
 
