@@ -210,11 +210,12 @@ def _cmd_compile(args) -> int:
     context = args.context or model.max_context
     plan = _build_plan(model, arch, args.strategy, args.tp, args.pp,
                        args.devices, context)
+    pos = args.pos if args.pos is not None else context // 2
+    compiler.check_position(model, pos)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     plan.save(out / "plan.json")
     vol = mapper.comm_volume(plan, model)
-    pos = args.pos if args.pos is not None else context // 2
     summaries = compiler.block_summaries(model, plan, arch, pos)
     classes = []
     for cls in summaries:
@@ -252,6 +253,7 @@ def _cmd_verify(args) -> int:
             f"{model.name} is too large for functional verification; "
             "use a desk-scale model (e.g. the shipped 'toy')")
     pos = args.pos
+    compiler.check_position(model, pos)
     plan = _build_plan(model, arch, args.strategy, args.tp, args.pp,
                        args.devices or 1, model.max_context)
     layout = compiler.build_layout(model, plan, arch)
@@ -341,7 +343,8 @@ def _cmd_simulate(args) -> int:
     context = args.context or model.max_context
     plan = _build_plan(model, arch, args.strategy, args.tp, args.pp,
                        args.devices, context)
-    decode = args.decode if args.decode else max(1, context - args.prefill)
+    decode = (args.decode if args.decode is not None
+              else max(1, context - args.prefill))
     rep = timesim.simulate_system(model, plan, arch,
                                   prefill_tokens=args.prefill,
                                   decode_tokens=decode,

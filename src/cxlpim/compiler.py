@@ -16,13 +16,16 @@ BANK_GROUPS); only capacities, counts and clocks come from ArchConfig.
 
 Traces are emitted through a sink as an opcode and its operand tuple.
 Both sinks keep instruction/micro-op counters and per-channel activity
-statistics (for timing and energy), counted from the operand tuple.
-ListSink also builds each instruction with isa.make_instruction and
-keeps it for the functional simulator; CountSink only checks the
-operands with isa.check_operands and builds nothing. Either way every
-emitted instruction is checked exactly once, against every ISA rule:
-operand ranges and the row, Global Buffer and Shared Buffer extents of
-its runs.
+statistics (for timing and energy), counted from the operand tuple by a
+per-opcode plan that reads isa.MICROOP_RULES, the micro-op rule of
+isa.microop_count. ListSink also builds each instruction with
+isa.make_instruction and keeps it for the functional simulator;
+CountSink builds nothing and runs the opcode's compiled operand
+predicate itself, falling back to isa.check_operands (the same
+predicate, plus the messages) for flags or a rejected instruction.
+Either way every emitted instruction is checked exactly once, against
+every ISA rule: operand ranges and the row, Global Buffer and Shared
+Buffer extents of its runs.
 
 A block lowers as three segments: before_core (RMSNorm, QKV), the
 attention core (RoPE, KV append, per-head attention) and after_core
@@ -303,15 +306,25 @@ class TraceSummary:
 _BANK_ROW_OPS = frozenset({"MAC_ABK", "EW_MUL", "COPY_BKGB", "COPY_GBBK",
                            "WR_SBK", "RD_SBK", "WR_ABK"})
 
+# which counters an opcode feeds, beyond its instruction and micro-op
+# counts
+_ROW, _WR_GB, _RD_MAC, _PNM, _RISCV, _CXL = range(1, 7)
+_COUNTER_KIND = {**dict.fromkeys(_BANK_ROW_OPS, _ROW),
+                 "WR_GB": _WR_GB, "RD_MAC": _RD_MAC,
+                 **dict.fromkeys(("EXP", "RED", "ACC"), _PNM),
+                 "RISCV": _RISCV,
+                 **dict.fromkeys(("SEND_CXL", "BCAST_CXL"), _CXL)}
+
 
 def _count_plan(op: str) -> tuple:
-    """(channel index, channel operand is a CHmask, OPsize index, RO
-    index) of `op`'s operands. An absent field's index is None, and so
-    is the channel's where no per-channel counter reads it."""
+    """(counter kind, CHid index, RO index, OPsize index, CHmask index,
+    slots per micro-op) of `op`: the last three are its
+    isa.MICROOP_RULES entry. An absent field's index is None, and so is
+    CHid's where no per-channel counter reads it."""
+    kind = _COUNTER_KIND.get(op)
     idx = isa.FIELD_INDEX[op]
-    ch = (idx.get("CHmask", idx.get("CHid"))
-          if op in _BANK_ROW_OPS or op in ("WR_GB", "RD_MAC") else None)
-    return ch, "CHmask" in idx, idx.get("OPsize"), idx.get("RO")
+    chid = idx.get("CHid") if kind in (_ROW, _WR_GB, _RD_MAC) else None
+    return (kind, chid, idx.get("RO"), *isa.MICROOP_RULES[op])
 
 
 _COUNT_PLAN = {op: _count_plan(op) for op in isa.OPCODE_FIELDS}
@@ -320,9 +333,10 @@ _COUNT_PLAN = {op: _count_plan(op) for op in isa.OPCODE_FIELDS}
 class CountSink:
     """Accumulates activity counters; never materializes instructions.
 
-    `emit` checks each instruction with `isa.check_operands` and
-    counts it straight from its operand tuple, so no `Instruction` is
-    built.
+    `emit` checks each instruction against the opcode's compiled
+    operand predicate (`isa.check_operands`' own, so the same rules and
+    messages) and counts it straight from its operand tuple, so no
+    `Instruction` is built.
 
     Consecutive bank-row instructions on a channel that stay within one
     DRAM row share an activate/precharge bracket; the histogram of
@@ -342,6 +356,7 @@ class CountSink:
         self.annotations: list[tuple[str, int, int]] = []
         self._open: dict = {}          # ch -> [row, cols] of last bracket
         self._first: dict = {}         # ch -> [row, cols] of first bracket
+        self._rules = isa._operand_rules(cfg)
 
     def begin_op(self, name: str) -> None:
         self.summary.operators[name] += 1
@@ -353,46 +368,62 @@ class CountSink:
              riscv_kind: Optional[str] = None, **flags) -> None:
         """Count one instruction given as its opcode, its operands in
         OPCODE_FIELDS order and make_instruction's keyword flags."""
-        isa.check_operands(opcode, operands, cfg=self.cfg, **flags)
+        rule = self._rules.get(opcode)
+        if flags or rule is None or not rule.accepts(operands):
+            isa.check_operands(opcode, operands, cfg=self.cfg, **flags)
         self._count(opcode, operands, riscv_kind)
 
     def _count(self, op: str, operands: tuple,
                riscv_kind: Optional[str]) -> None:
         s = self.summary
-        s.instructions[op] += 1
-        n = isa.microop_count(op, operands)
-        s.microops[op] += n
-        ch_i, is_mask, size_i, ro_i = _COUNT_PLAN[op]
+        kind, chid_i, ro_i, size_i, mask_i, per_uop = _COUNT_PLAN[op]
         opsize = 1 if size_i is None else operands[size_i]
-        if ch_i is not None:
-            chans = (isa.mask_channels(operands[ch_i]) if is_mask
-                     else (operands[ch_i],))
+        n = opsize if per_uop == 1 else -(-opsize // per_uop)
+        s.instructions[op] += 1
+        if mask_i is None:
+            s.microops[op] += n
+            chans = () if chid_i is None else (operands[chid_i],)
+        else:
+            mask = operands[mask_i]
+            if mask & (mask - 1):
+                chans = isa.mask_channels(mask)
+                s.microops[op] += n * len(chans)
+            else:  # one channel: most masks
+                chans = (mask.bit_length() - 1,)
+                s.microops[op] += n
 
-        if op in _BANK_ROW_OPS:
+        if kind == _ROW:
             ro = operands[ro_i]
             for ch in chans:
-                st = self._stats(ch)
                 cur = self._open.get(ch)
-                if cur is None:
-                    self._open[ch] = self._first[ch] = [ro, opsize]
-                elif cur[0] == ro:
-                    cur[1] += opsize
+                if cur is not None and cur[0] == ro:
+                    cur[1] += opsize   # continues the open bracket
                 else:
-                    if cur is not self._first[ch]:
-                        st.bracket_hist[cur[1]] += 1
-                    self._open[ch] = [ro, opsize]
-        elif op == "WR_GB":
+                    self._open_bracket(ch, cur, ro, opsize)
+        elif kind == _WR_GB:
             for ch in chans:
                 self._stats(ch).wr_gb += opsize
-        elif op == "RD_MAC":
+        elif kind == _RD_MAC:
             for ch in chans:
                 self._stats(ch).rd_mac += 1
-        elif op in ("EXP", "RED", "ACC", "RISCV"):
+        elif kind == _PNM:
             s.pnm_microops += n
-            if op == "RISCV":
-                s.riscv_slots[riscv_kind or "generic"] += opsize
-        elif op in ("SEND_CXL", "BCAST_CXL"):
+        elif kind == _RISCV:
+            s.pnm_microops += n
+            s.riscv_slots[riscv_kind or "generic"] += opsize
+        elif kind == _CXL:
             s.cxl_sent_B += WORD_B
+
+    def _open_bracket(self, ch: int, cur: Optional[list], ro: int,
+                      cols: int) -> None:
+        """Start a bracket of `cols` columns in row `ro` on `ch`, closing
+        `cur`, the channel's open bracket (None before its first)."""
+        if cur is None:
+            self._stats(ch)
+            self._open[ch] = self._first[ch] = [ro, cols]
+        else:
+            self._close(ch, cur)
+            self._open[ch] = [ro, cols]
 
     def _stats(self, ch: int) -> ChannelStats:
         st = self.summary.channels.get(ch)
@@ -539,7 +570,7 @@ class Layout:
     plan: MappingPlan
     sb: SbMap
     blocks: list[BlockLayout]
-    zero_rows: dict              # (device, channel) -> sorted row list
+    zero_rows: dict              # (device, channel) -> row ranges
     # structure key -> (before_core, after_core) unfinished CountSinks per
     # tp role; filled by block_summaries on first use
     invariant_segments: dict = field(default_factory=dict, repr=False,
@@ -581,7 +612,7 @@ def build_layout(model: ModelSpec, plan: MappingPlan,
     zero_rows: dict = {}
 
     def mark_zero(device, ch, lo, n):
-        zero_rows.setdefault((device, ch), set()).update(range(lo, lo + n))
+        zero_rows.setdefault((device, ch), []).append(range(lo, lo + n))
 
     # transient scratch and the position-indexed RoPE tables hold no
     # per-block state, so blocks sharing a channel share one copy
@@ -698,8 +729,7 @@ def build_layout(model: ModelSpec, plan: MappingPlan,
             ewmul_row=ew_row, gated_scratch_row=gated_row,
             score_scratch_row=score_row))
 
-    return Layout(model, arch, plan, sb, blocks,
-                  {k: sorted(v) for k, v in zero_rows.items()})
+    return Layout(model, arch, plan, sb, blocks, zero_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +742,10 @@ class Emitter:
         self._routines: dict = {}       # (kind, params) -> pc
 
     def i(self, opcode: str, *ops, **kw) -> None:
-        self.sink.emit(opcode, ops, **kw)
+        if kw:
+            self.sink.emit(opcode, ops, **kw)
+        else:
+            self.sink.emit(opcode, ops)
 
     def riscv(self, kind: str, opsize: int, rd: int, rs: int,
               params: tuple = ()) -> None:
@@ -1368,6 +1401,16 @@ def _compile_block(layout: Layout, bl: BlockLayout, position: int,
     low.after_core()
 
 
+def check_position(model: ModelSpec, token_pos: int) -> None:
+    """Raise CompileError unless `token_pos` is in [0, max_context),
+    the positions `model`'s KV cache rows hold."""
+    if token_pos < 0:
+        raise CompileError(f"position {token_pos} is negative")
+    if token_pos >= model.max_context:
+        raise CompileError(f"position {token_pos} beyond max context "
+                           f"{model.max_context}")
+
+
 def compile_token(model: ModelSpec, plan: MappingPlan, token_pos: int,
                   phase: str = "DECODE", arch: Optional[ArchConfig] = None,
                   layout: Optional[Layout] = None) -> list[DeviceTrace]:
@@ -1384,9 +1427,7 @@ def compile_token(model: ModelSpec, plan: MappingPlan, token_pos: int,
     if phase not in ("PREFILL", "DECODE"):
         raise CompileError(f"unknown phase {phase!r}")
     arch = arch or (layout.arch if layout else ArchConfig())
-    if token_pos >= model.max_context:
-        raise CompileError(f"position {token_pos} beyond max context "
-                           f"{model.max_context}")
+    check_position(model, token_pos)
     layout = layout or build_layout(model, plan, arch)
     devices = sorted({d for a in plan.block_assignments
                       for d in a.devices})
@@ -1471,6 +1512,7 @@ def block_summaries(model: ModelSpec, plan: MappingPlan, arch: ArchConfig,
     each of them (see `BlockLowering`). The returned summaries are new
     objects that the caller may change.
     """
+    check_position(model, token_pos)
     if layout is None:
         layout = build_layout(model, plan, arch)
     else:

@@ -188,6 +188,12 @@ class ArchConfig:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
 
+    def __getstate__(self) -> dict:
+        # only the fields: what other modules cache on a config (isa's
+        # compiled operand rules) is rebuilt from them on first use
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self)}
+
     # -- derived geometry ----------------------------------------------------
 
     @property

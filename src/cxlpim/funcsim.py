@@ -302,8 +302,9 @@ def prepare_image(layout: Layout, weights: list[dict],
     """Build an image with all static state: zeroed scratch rows, the
     zero-constant Shared Buffer slots, RoPE tables and block weights."""
     image = MemoryImage(layout.arch, strict=strict)
-    for (dev, ch), rows in layout.zero_rows.items():
-        image.zero_rows(dev, ch, rows)
+    for (dev, ch), runs in layout.zero_rows.items():
+        for rows in runs:
+            image.zero_rows(dev, ch, rows)
     devices = {d for bl in layout.blocks for d in bl.tp_group}
     for dev in devices:
         image.write_slots(dev, layout.sb.zero,

@@ -9,13 +9,22 @@ operand in range, a column run inside one DRAM row, a WR_GB run inside
 the Global Buffer and each Shared Buffer slot run inside the Shared
 Buffer. `make_instruction`, both compiler sinks and `validate_trace`
 call it, so every emitted instruction is held to the same rules.
-`microop_count` gives the micro-ops an instruction expands to.
+
+The rules are one table per config (`_operand_rules`): each operand's
+bounds and each run's extent. From that table each opcode gets one
+compiled predicate, a straight line of comparisons against the table's
+numbers, which every check runs. Only an instruction it rejects walks
+the table, to name the first rule broken, so the predicate and the
+error messages cannot drift apart.
+
+`microop_count` gives the micro-ops an instruction expands to, by the
+per-opcode rule in MICROOP_RULES that the compiler's counters read too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .config import BANKS, RED_TREES, REGS, ROW_SLOTS, ArchConfig
 
@@ -58,6 +67,19 @@ _SLOT_RUNS = {"EXP": ("Rs", "Rd"), "RED": ("Rs",), "ACC": ("Rs", "Rd"),
 
 AF_NAMES = {0: "SILU", 1: "GELU", 2: "SIGMOID", 3: "TANH"}
 
+# opcode -> (OPsize index, CHmask index, slots per micro-op): the
+# instruction expands to ceil(OPsize / slots per micro-op) micro-ops on
+# each channel of its CHmask. An absent OPsize counts as 1 and an absent
+# CHmask as one channel. RED's 32 reduction trees take RED_TREES slots
+# per micro-op; every other opcode takes one.
+MICROOP_RULES: dict[str, tuple[Optional[int], Optional[int], int]] = {
+    op: (idx.get("OPsize"), idx.get("CHmask"),
+         RED_TREES if op == "RED" else 1)
+    for op, idx in FIELD_INDEX.items()}
+
+_MAC_SOURCES = ("GB", "BANK")
+_RED_MODES = ("SUM", "MAX")
+
 
 class IsaError(ValueError):
     pass
@@ -89,12 +111,48 @@ class Instruction:
         return self.operands[i]
 
 
-def _operand_rules(cfg: Optional[ArchConfig]) -> dict:
-    """opcode -> (bounds, extents), built once per config and cached on
-    it. `bounds` is ((name, lo, hi), ...) in operand order, each operand
-    in [lo, hi). `extents` is ((base index, OPsize index, limit,
-    message), ...): operands[base] + OPsize must not exceed limit, and
-    `message` is formatted with both when it does."""
+class _Rule(NamedTuple):
+    """One opcode's operand rules on one config."""
+    # ((name, lo, hi), ...) in operand order: each operand in [lo, hi)
+    bounds: tuple
+    # ((base index, OPsize index, limit, message), ...): operands[base] +
+    # OPsize must not exceed limit; `message` is formatted with both
+    extents: tuple
+    # bounds and extents compiled into one predicate on the operand tuple
+    accepts: Callable[[tuple], bool]
+
+
+def _compile(tables: dict) -> dict:
+    """opcode -> the predicate that holds exactly when an operand tuple
+    has len(bounds) operands and keeps every bound and extent, given
+    opcode -> (bounds, extents). Each is one unpack and a straight line
+    of comparisons against the rules' numbers; all compile at once."""
+    defs = []
+    for op, (bounds, extents) in tables.items():
+        numbers = [x for _, lo, hi in bounds for x in (lo, hi)]
+        numbers += [limit for _, _, limit, _ in extents]
+        if not all(type(x) in (int, float) for x in numbers):
+            raise TypeError(f"{op}: operand rules must be numbers, "
+                            f"got {numbers}")
+        names = [f"v{i}" for i in range(len(bounds))]
+        terms = [f"{lo!r} <= {v} < {hi!r}"
+                 for v, (_, lo, hi) in zip(names, bounds)]
+        terms += [f"{names[base]} + {names[size]} <= {limit!r}"
+                  for base, size, limit, _ in extents]
+        defs.append(f"def {op}(operands):\n"
+                    f"    try:\n"
+                    f"        [{', '.join(names)}] = operands\n"
+                    f"    except ValueError:\n"
+                    f"        return False\n"
+                    f"    return {' and '.join(terms) or 'True'}\n")
+    scope: dict = {}
+    exec("\n".join(defs), {"__builtins__": {"ValueError": ValueError}}, scope)
+    return {op: scope[op] for op in tables}
+
+
+def _operand_rules(cfg: Optional[ArchConfig]) -> dict[str, _Rule]:
+    """opcode -> _Rule, built once per config and cached on it (pickling
+    an ArchConfig leaves the cache behind)."""
     cfg = cfg or _DEFAULT_ARCH
     cached = getattr(cfg, "_isa_rules", None)
     if cached is not None:
@@ -115,7 +173,7 @@ def _operand_rules(cfg: Optional[ArchConfig]) -> dict:
         "DVcount": (1, 256),
         "PC":     (0, 1 << 32),
     }
-    rules = {}
+    tables = {}
     for op, fields in OPCODE_FIELDS.items():
         idx = FIELD_INDEX[op]
         bounds = [(name, *table[name]) for name in fields]
@@ -134,9 +192,36 @@ def _operand_rules(cfg: Optional[ArchConfig]) -> dict:
             extents.append((idx[name], idx["OPsize"], cfg.sb_slots,
                             f"{op}: {name}={{}} run of {{}} exceeds Shared "
                             f"Buffer ({cfg.sb_slots} slots)"))
-        rules[op] = (tuple(bounds), tuple(extents))
+        tables[op] = (tuple(bounds), tuple(extents))
+    accepts = _compile(tables)
+    rules = {op: _Rule(*tables[op], accepts[op]) for op in tables}
     object.__setattr__(cfg, "_isa_rules", rules)
     return rules
+
+
+def _first_broken_rule(opcode: str, operands: tuple, source_select: str,
+                       red_mode: str, cfg: Optional[ArchConfig]
+                       ) -> Optional[str]:
+    """Walk the rule table in order and describe the first rule the
+    instruction breaks, or return None if it keeps them all."""
+    rule = _operand_rules(cfg).get(opcode)
+    if rule is None:
+        return f"unknown mnemonic: {opcode}"
+    if len(operands) != len(rule.bounds):
+        fields = OPCODE_FIELDS[opcode]
+        return (f"{opcode}: expected {len(fields)} operands "
+                f"({' '.join(fields)}), got {len(operands)}")
+    for (name, lo, hi), value in zip(rule.bounds, operands):
+        if not lo <= value < hi:
+            return f"{opcode}: operand {name}={value} out of range [{lo}, {hi})"
+    for base, size, limit, message in rule.extents:
+        if operands[base] + operands[size] > limit:
+            return message.format(operands[base], operands[size])
+    if source_select not in _MAC_SOURCES:
+        return f"MAC_ABK source must be GB or BANK, got {source_select}"
+    if red_mode not in _RED_MODES:
+        return f"RED mode must be SUM or MAX, got {red_mode}"
+    return None
 
 
 def check_operands(opcode: str, operands: tuple, *, source_select: str = "GB",
@@ -146,26 +231,18 @@ def check_operands(opcode: str, operands: tuple, *, source_select: str = "GB",
     OPCODE_FIELDS order) are in range, every column and slot run they
     start stays inside its row or buffer, and the flags are valid.
     `copy_bank` takes any value; it is accepted so that callers can pass
-    make_instruction's keywords through unchanged."""
-    rules = _operand_rules(cfg).get(opcode)
-    if rules is None:
-        raise IsaError(f"unknown mnemonic: {opcode}")
-    bounds, extents = rules
-    if len(operands) != len(bounds):
-        fields = OPCODE_FIELDS[opcode]
-        raise IsaError(f"{opcode}: expected {len(fields)} operands "
-                       f"({' '.join(fields)}), got {len(operands)}")
-    for (name, lo, hi), value in zip(bounds, operands):
-        if not lo <= value < hi:
-            raise IsaError(
-                f"{opcode}: operand {name}={value} out of range [{lo}, {hi})")
-    for base, size, limit, message in extents:
-        if operands[base] + operands[size] > limit:
-            raise IsaError(message.format(operands[base], operands[size]))
-    if source_select not in ("GB", "BANK"):
-        raise IsaError(f"MAC_ABK source must be GB or BANK, got {source_select}")
-    if red_mode not in ("SUM", "MAX"):
-        raise IsaError(f"RED mode must be SUM or MAX, got {red_mode}")
+    make_instruction's keywords through unchanged.
+
+    The opcode's compiled predicate decides; the table walk that names
+    the broken rule runs only when it rejects."""
+    rule = _operand_rules(cfg).get(opcode)
+    if (rule is not None and rule.accepts(operands)
+            and source_select in _MAC_SOURCES and red_mode in _RED_MODES):
+        return
+    message = _first_broken_rule(opcode, operands, source_select, red_mode,
+                                 cfg)
+    if message is not None:
+        raise IsaError(message)
 
 
 def make_instruction(opcode: str, *operands: int, source_select: str = "GB",
@@ -185,23 +262,14 @@ def mask_channels(mask: int) -> list[int]:
 
 
 def microop_count(opcode: str, operands: tuple) -> int:
-    """Micro-ops the instruction expands to: OPsize per channel for the
-    CHmask opcodes that walk columns or Global Buffer slots, one per
-    channel for the other CHmask opcodes, one per chunk of RED_TREES
-    slots for RED, OPsize for the other OPsize opcodes and one for the
-    rest."""
-    idx = FIELD_INDEX[opcode]
-    i = idx.get("OPsize")
-    opsize = 1 if i is None else operands[i]
-    if "CHmask" in idx:
-        pop = operands[idx["CHmask"]].bit_count()
-        if opcode in ("MAC_ABK", "EW_MUL", "COPY_BKGB", "COPY_GBBK", "WR_GB"):
-            return opsize * pop
-        return pop
-    if opcode == "RED":
-        return (opsize + RED_TREES - 1) // RED_TREES
-    # WR_SBK, RD_SBK, EXP, ACC and RISCV walk OPsize; the rest is one
-    return opsize
+    """Micro-ops the instruction expands to (see MICROOP_RULES): OPsize
+    per channel for the CHmask opcodes that walk columns or Global
+    Buffer slots, one per channel for the other CHmask opcodes, one per
+    chunk of RED_TREES slots for RED, OPsize for the other OPsize
+    opcodes and one for the rest."""
+    size_i, mask_i, per_uop = MICROOP_RULES[opcode]
+    n = 1 if size_i is None else -(-operands[size_i] // per_uop)
+    return n if mask_i is None else n * operands[mask_i].bit_count()
 
 
 @dataclass(frozen=True)

@@ -52,9 +52,19 @@ def test_verify_two_device_pipeline_passes(capsys):
     # geometry, not a config field
     ["simulate", "--model", "toy", "--set", "arch.acc_registers=16",
      "--prefill", "0", "--decode", "16"],
+    # CompileError: positions outside the toy's 64-position KV cache,
+    # raised before any output is written
+    ["verify", "--model", "toy", "--pos", "-3"],
+    ["compile", "--model", "toy", "--pos", "9999", "--out", "out"],
+    ["compile", "--model", "toy", "--pos", "-1", "--out", "out"],
+    # TimingError: an explicit zero decode is not the default decode
+    ["simulate", "--model", "toy", "--decode", "0"],
 ])
-def test_lowering_errors_exit_2_with_one_line(argv, capsys):
+def test_lowering_errors_exit_2_with_one_line(argv, capsys, tmp_path,
+                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
+    assert not (tmp_path / "out").exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import pytest
 
@@ -339,6 +340,15 @@ def test_position_beyond_context_rejected(toy_layout):
         compile_token(TOY, plan, TOY.max_context, layout=layout)
 
 
+@pytest.mark.parametrize("pos", [-1, TOY.max_context])
+def test_positions_outside_kv_cache_rejected(toy_layout, pos):
+    plan, layout = toy_layout
+    with pytest.raises(CompileError, match="negative|beyond max context"):
+        compile_token(TOY, plan, pos, layout=layout)
+    with pytest.raises(CompileError, match="negative|beyond max context"):
+        compiler.block_summaries(TOY, plan, layout.arch, pos, layout)
+
+
 def test_pipeline_boundary_handoff():
     plan = plan_pipeline(TOY, ARCH, TOY.max_context, n_devices=2)
     traces = compile_token(TOY, plan, 10)
@@ -651,3 +661,12 @@ def test_row_allocator_spans_channels_from_their_highest_free_row():
     assert alloc.take(1, (0, 1), 1) == 0      # devices are independent
     with pytest.raises(CompileError, match="rows exhausted"):
         alloc.take(0, (0,), ARCH.rows_per_bank)
+
+
+def test_config_pickles_after_lowering():
+    """The compiled operand rules cached on a config stay out of its
+    pickle, as the sweep's worker processes need."""
+    arch = ArchConfig(n_devices=2)
+    plan = plan_pipeline(TOY, arch, TOY.max_context)
+    compiler.block_summaries(TOY, plan, arch, 5)
+    assert pickle.loads(pickle.dumps(arch)) == arch

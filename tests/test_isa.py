@@ -1,23 +1,26 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cxlpim.config import ROW_SLOTS, ArchConfig
-from cxlpim import isa
+from cxlpim.config import KB, MB, ROW_SLOTS, ArchConfig
+from cxlpim import compiler, isa
 from cxlpim.isa import (
     IsaError, OPCODE_FIELDS, make_instruction, validate_trace,
 )
 
 CFG = ArchConfig()
+# every rule that reads the config moves: DVid, Rs/Rd and their runs, RO
+SMALL_CFG = ArchConfig(n_devices=4, shared_buffer_B=8 * KB,
+                       bank_capacity_B=4 * MB)
 
 
 def random_operands(rng: random.Random) -> tuple[str, tuple[int, ...]]:
     """An opcode and operands each drawn from its own range; the runs
     they start may cross a row or overflow a buffer."""
     opcode = rng.choice(sorted(OPCODE_FIELDS))
-    bounds, _ = isa._operand_rules(CFG)[opcode]
     values = []
-    for name, lo, hi in bounds:
+    for name, lo, hi in isa._operand_rules(CFG)[opcode].bounds:
         if name == "OPsize":
             hi = 64
         values.append(rng.randrange(lo, min(hi, 1 << 20)))
@@ -133,3 +136,60 @@ def test_validate_gb_overflow():
     rep = validate_trace([isa.Instruction("WR_GB", (0x1, 65, 0, 0))], CFG)
     assert any(f.kind == "range" and "Global" in f.message
                for f in rep.findings)
+
+
+@st.composite
+def near_rule_edges(draw, cfg):
+    """An opcode, operands at and around each of its rules' edges and
+    the flags: every operand at lo or hi-1, except that one may be at
+    lo-1 or hi; maybe a run that ends at its limit or one past it; maybe
+    one operand too few or too many; maybe a flag no instruction
+    takes."""
+    opcode = draw(st.sampled_from(sorted(OPCODE_FIELDS)))
+    rule = isa._operand_rules(cfg)[opcode]
+    values = [draw(st.sampled_from((lo, hi - 1)))
+              for _, lo, hi in rule.bounds]
+    if values and draw(st.booleans()):
+        i = draw(st.integers(0, len(values) - 1))
+        _, lo, hi = rule.bounds[i]
+        values[i] = draw(st.sampled_from((lo - 1, hi)))
+    for base, size, limit, _ in rule.extents:
+        if draw(st.booleans()):
+            values[base] = limit - values[size] + draw(st.sampled_from((0, 1)))
+    arity = draw(st.sampled_from((0, 0, 0, -1, 1)))
+    if arity < 0:
+        values = values[:-1]
+    elif arity > 0:
+        values.append(draw(st.integers(0, 3)))
+    flags = {"source_select": draw(st.sampled_from(("GB", "BANK", "ROW"))),
+             "red_mode": draw(st.sampled_from(("SUM", "MAX", "MIN")))}
+    return opcode, tuple(values), flags
+
+
+def _raised(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except IsaError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("cfg", [CFG, SMALL_CFG], ids=["default", "small"])
+@settings(max_examples=400, deadline=None, database=None)
+@given(data=st.data())
+def test_compiled_rules_match_the_table_walk(cfg, data):
+    """Each opcode's compiled predicate accepts exactly what walking its
+    rule table accepts, and the checker and both sinks raise the
+    walk's message."""
+    opcode, operands, flags = data.draw(near_rule_edges(cfg))
+    rule = isa._operand_rules(cfg)[opcode]
+    walked = isa._first_broken_rule(opcode, operands, "GB", "SUM", cfg)
+    assert rule.accepts(operands) == (walked is None)
+
+    expected = isa._first_broken_rule(opcode, operands, cfg=cfg, **flags)
+    assert _raised(isa.check_operands, opcode, operands, cfg=cfg,
+                   **flags) == expected
+    for sink in (compiler.CountSink(0, cfg), compiler.ListSink(0, cfg)):
+        assert _raised(sink.emit, opcode, operands, **flags) == expected
+        assert sink.summary.total_instructions == (expected is None)
+
