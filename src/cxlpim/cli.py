@@ -205,9 +205,18 @@ def run_sweep(specs: list[dict], out_path, workers: int = 1) -> int:
 # subcommands
 
 
+def _context(args, model: ModelSpec) -> int:
+    """--context, or the model's max_context when it is not given."""
+    if args.context is None:
+        return model.max_context
+    if args.context < 1:
+        raise CliError(f"--context must be positive, got {args.context}")
+    return args.context
+
+
 def _cmd_compile(args) -> int:
     model, arch = _load_configs(args.model, args.arch, args.set)
-    context = args.context or model.max_context
+    context = _context(args, model)
     plan = _build_plan(model, arch, args.strategy, args.tp, args.pp,
                        args.devices, context)
     pos = args.pos if args.pos is not None else context // 2
@@ -340,7 +349,7 @@ def _ratios(rep_tokens_per_s, er, tco, reference: dict | None):
 
 def _cmd_simulate(args) -> int:
     model, arch = _load_configs(args.model, args.arch, args.set)
-    context = args.context or model.max_context
+    context = _context(args, model)
     plan = _build_plan(model, arch, args.strategy, args.tp, args.pp,
                        args.devices, context)
     decode = (args.decode if args.decode is not None

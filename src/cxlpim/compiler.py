@@ -58,6 +58,7 @@ RISCV, because PCs index each device's own routine table.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -114,7 +115,9 @@ class TensorPlacement:
     base_row: int
     row_offset: int = 0          # first matrix row held here (TP slice)
     col_offset: int = 0          # first matrix column held here
-    col_perm: Optional[tuple[int, ...]] = None
+    # physical column position -> logical column it holds, when the
+    # columns are stored permuted (DownPlacement)
+    col_perm = None
 
     def __post_init__(self):
         if self.rows % LANE and len(self.channels) > 1:
@@ -165,6 +168,23 @@ class TensorPlacement:
         t, e = divmod(c, ROW_ELEMS)
         row, co, _ = self.loc(r // LANE, t)
         return ch, r % LANE, row, co + e // LANE, e % LANE
+
+
+@dataclass
+class DownPlacement(TensorPlacement):
+    """The down projection: its input is the gated vector in the order
+    the gate/up pass produces it, each channel's row groups in turn, so
+    its columns are stored in that order."""
+
+    @functools.cached_property
+    def col_perm(self) -> tuple[int, ...]:
+        # the gate placement on this device has the same channels, and
+        # its rows are these columns
+        nch = len(self.channels)
+        groups = -(-self.cols // LANE)
+        return tuple(c for first in range(nch)
+                     for j in range(first, groups, nch)
+                     for c in range(j * LANE, min((j + 1) * LANE, self.cols)))
 
 
 @dataclass
@@ -627,10 +647,6 @@ def build_layout(model: ModelSpec, plan: MappingPlan,
                     mark_zero(device, c, shared[full], n)
         return shared[full]
 
-    # the down projection's column order depends only on the gate
-    # placement's channels and rows, so blocks share one tuple each
-    col_perms: dict = {}
-
     blocks = []
     for a in plan.block_assignments:
         group = a.devices
@@ -651,7 +667,8 @@ def build_layout(model: ModelSpec, plan: MappingPlan,
             placements[name] = {}
             for di, dev in enumerate(group):
                 chans = a.channels[di]
-                pl = TensorPlacement(
+                cls = DownPlacement if name == "down" else TensorPlacement
+                pl = cls(
                     name=name, device=dev, channels=chans,
                     rows=split_rows,
                     cols=cols // tp if name == "down" else cols,
@@ -660,20 +677,6 @@ def build_layout(model: ModelSpec, plan: MappingPlan,
                     col_offset=di * cols // tp if name == "down" else 0)
                 pl.base_row = alloc.take(dev, chans, pl.rows_needed)
                 placements[name][dev] = pl
-        # the down projection reads its input in gated-vector production
-        # order (per-channel group order), so its columns store permuted
-        for di, dev in enumerate(group):
-            gate = placements["gate"][dev]
-            key = (gate.channels, gate.rows)
-            if key not in col_perms:
-                perm = []
-                for c in gate.channels:
-                    for j in gate.channel_groups(c):
-                        perm.extend(range(j * LANE,
-                                          min((j + 1) * LANE, gate.rows)))
-                col_perms[key] = tuple(perm)
-            placements["down"][dev].col_perm = col_perms[key]
-
         mchans = a.channels[a.devices.index(master)]
         norm_ch = mchans[0]
         S = slots_of(model.d_model)

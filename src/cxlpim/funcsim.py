@@ -4,6 +4,16 @@ Every 16-bit lane holds a BF16 bit pattern; near-bank MAC units
 accumulate in FP32 and round on drain. Inter-device SEND/RECV pairs
 rendezvous through per-destination FIFOs under a deterministic
 run-until-blocked round-robin schedule.
+
+DRAM is held as one slab per (channel, row): uint16[BANKS, ROW_ELEMS],
+bank b's copy of the row in slab[b]. A channel's 16 bank units run in
+lockstep, so MAC_ABK, EW_MUL and WR_ABK each run as one numpy operation
+over the bank axis, with each bank's arithmetic in the hardware's order:
+one pairwise FP32 product tree per column, columns accumulated left to
+right in FP32, one BF16 rounding on drain. Each slab carries a mask of
+the banks written so far. In strict mode (the default) a read of a bank
+outside it raises PoisonError naming the first such bank; in lenient
+mode it reads zeros.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ import numpy as np
 
 from .config import (BANK_GROUPS, BANKS, LANE, REGS, ROW_SLOTS, ArchConfig,
                      ModelSpec)
-from .isa import Instruction, mask_channels
+from .isa import OPCODE_FIELDS, Instruction, mask_channels
 from .compiler import (
     ROW_ELEMS, EwWeightPlacement, Layout, TensorPlacement, slots_of,
 )
@@ -43,8 +53,12 @@ def bf16_round(values) -> np.ndarray:
     f = np.asarray(values, dtype=np.float32)
     bits = f.view(np.uint32) if f.flags["C_CONTIGUOUS"] else \
         np.ascontiguousarray(f).view(np.uint32)
-    rounded = bits + 0x7FFF + ((bits >> 16) & 1)
-    out = (rounded >> 16).astype(np.uint16)
+    # bits + 0x7FFF + lsb, in place on one uint32 temporary
+    rounded = (bits >> 16) & 1
+    rounded += 0x7FFF
+    rounded += bits
+    rounded >>= 16
+    out = rounded.astype(np.uint16)
     nan = np.isnan(f)
     if nan.any():
         out = np.where(nan, np.uint16(0x7FC0), out)
@@ -63,7 +77,7 @@ def bf16(values) -> np.ndarray:
 
 def _tree_sum(products: np.ndarray) -> np.ndarray:
     """Pairwise FP32 reduction over the last axis (power-of-two length)."""
-    v = products.astype(np.float32, copy=True)
+    v = np.asarray(products, dtype=np.float32)
     while v.shape[-1] > 1:
         v = v[..., 0::2] + v[..., 1::2]
     return v[..., 0]
@@ -126,10 +140,32 @@ def taylor_exp(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # memory image
 
+_ALL_BANKS = np.arange(BANKS)
+# EW_MUL runs one triple per bank group: banks 4g and 4g+1 in, 4g+2 out
+_GROUP_STRIDE = BANKS // BANK_GROUPS
+_EW_INPUTS = np.sort(np.concatenate([_ALL_BANKS[0::_GROUP_STRIDE],
+                                     _ALL_BANKS[1::_GROUP_STRIDE]]))
+# MAC_ABK's BANK source: each bank multiplies its neighbour's row
+_NEIGHBOR = _ALL_BANKS ^ 1
+
+
+def _unwritten(ch: int, bank, row: int) -> str:
+    return f"read of unwritten row {row} (ch {ch} bank {bank})"
+
+
 class DeviceState:
+    """One device's architectural state.
+
+    DRAM is one slab per (channel, row): uint16[BANKS, ROW_ELEMS] with
+    bank b's copy of the row in slab[b], so an op that runs on all
+    banks of a channel in lockstep is one numpy operation over the bank
+    axis. Each slab carries a bool[BANKS] mask of the banks written
+    since it was allocated; in strict mode a read of a bank outside the
+    mask raises PoisonError."""
+
     def __init__(self, cfg: ArchConfig):
         self.cfg = cfg
-        self.banks: dict = {}        # (ch, bank) -> {row: uint16[1024]}
+        self.banks: dict = {}   # (ch, row) -> (uint16[16, 1024], bool[16])
         self.gb: dict = {}           # ch -> uint16[64, 16]
         self.gb_written: dict = {}   # ch -> bool[64]
         self.sb = np.zeros((cfg.sb_slots, LANE), dtype=np.uint16)
@@ -138,16 +174,43 @@ class DeviceState:
         self.armed: dict = {}        # ch -> armed bias slot or None
         self.stab = 0.0
 
+    def slab(self, ch: int, row: int) -> tuple[np.ndarray, np.ndarray]:
+        """(contents, written mask) of one row across the channel's
+        banks, zero and unwritten on first touch. Writers mark the banks
+        they write in the mask."""
+        entry = self.banks.get((ch, row))
+        if entry is None:
+            entry = self.banks[ch, row] = (
+                np.zeros((BANKS, ROW_ELEMS), dtype=np.uint16),
+                np.zeros(BANKS, dtype=bool))
+        return entry
+
+    def read_slab(self, ch: int, row: int, lo: int, hi: int, strict: bool,
+                  banks: np.ndarray = _ALL_BANKS) -> np.ndarray:
+        """View of elements [lo, hi) of one row in all banks, shaped
+        (BANKS, hi - lo), for a read of `banks` (ascending). In strict
+        mode, raise PoisonError naming the first of them not written."""
+        entry = self.banks.get((ch, row))
+        if entry is None:
+            if strict:
+                raise PoisonError(_unwritten(ch, banks[0], row))
+            entry = self.slab(ch, row)
+        data, written = entry
+        if strict:
+            ok = written[banks]
+            if not ok.all():
+                raise PoisonError(_unwritten(ch, banks[ok.argmin()], row))
+        return data[:, lo:hi]
+
     def bank_row(self, ch: int, bank: int, row: int, write: bool,
                  strict: bool) -> np.ndarray:
-        rows = self.banks.setdefault((ch, bank), {})
-        arr = rows.get(row)
-        if arr is None:
-            if strict and not write:
-                raise PoisonError(
-                    f"read of unwritten row {row} (ch {ch} bank {bank})")
-            arr = rows[row] = np.zeros(ROW_ELEMS, dtype=np.uint16)
-        return arr
+        """View of one bank's row; a write marks the bank written."""
+        data, written = self.slab(ch, row)
+        if write:
+            written[bank] = True
+        elif strict and not written[bank]:
+            raise PoisonError(_unwritten(ch, bank, row))
+        return data[bank]
 
     def gb_arrays(self, ch: int):
         if ch not in self.gb:
@@ -193,10 +256,11 @@ class MemoryImage:
         return bf16_to_f32(st.sb[base:base + n]).reshape(-1)[:n_elems]
 
     def zero_rows(self, dev: int, ch: int, rows) -> None:
+        """Mark rows written in every bank; they read as zero until a
+        loader or an instruction writes them."""
         st = self.device(dev)
-        for bank in range(BANKS):
-            for row in rows:
-                st.bank_row(ch, bank, row, True, False)
+        for row in rows:
+            st.slab(ch, row)[1][:] = True
 
 
 # ---------------------------------------------------------------------------
@@ -212,31 +276,33 @@ def load_gemv_weights(image: MemoryImage, pl: TensorPlacement,
         raise SimError(f"{pl.name}: matrix shape {w.shape} does not match "
                        f"placement ({pl.rows}, {pl.cols})")
     if pl.col_perm is not None:
-        w = w[:, list(pl.col_perm)]
+        w = w[:, np.asarray(pl.col_perm)]
     st = image.device(pl.device)
     for j in range(pl.n_groups):
         ch, _ = pl.group_channel(j)
+        group = bf16_round(w[j * LANE:(j + 1) * LANE])    # row r -> bank r
         for t, s in enumerate(pl.tiles):
             row, co, _ = pl.loc(j, t)
-            for r in range(min(LANE, pl.rows - j * LANE)):
-                seg = w[j * LANE + r, t * ROW_ELEMS:t * ROW_ELEMS + s * LANE]
-                arr = st.bank_row(ch, r, row, True, False)
-                arr[co * LANE:co * LANE + len(seg)] = bf16_round(seg)
+            seg = group[:, t * ROW_ELEMS:t * ROW_ELEMS + s * LANE]
+            data, written = st.slab(ch, row)
+            data[:len(seg), co * LANE:co * LANE + seg.shape[1]] = seg
+            written[:len(seg)] = True
 
 
 def load_ew_weights(image: MemoryImage, wp: EwWeightPlacement,
                     vector) -> None:
-    v = np.asarray(vector, dtype=np.float32).reshape(-1)
+    bits = bf16_round(np.asarray(vector, dtype=np.float32).reshape(-1))
     st = image.device(wp.device)
     for s in range(wp.n_slots):
         bank, row, col = wp.loc(s)
         arr = st.bank_row(wp.channel, bank, row, True, False)
-        seg = v[s * LANE:(s + 1) * LANE]
-        arr[col * LANE:col * LANE + len(seg)] = bf16_round(seg)
+        seg = bits[s * LANE:(s + 1) * LANE]
+        arr[col * LANE:col * LANE + len(seg)] = seg
 
 
-def rope_angles(d_head: int, position: int) -> np.ndarray:
-    """Per-pair rotation angle, theta_j = p * 10000^(-2j/d_head)."""
+def rope_angles(d_head: int, position) -> np.ndarray:
+    """Per-pair rotation angle, theta_j = p * 10000^(-2j/d_head); an
+    array of positions shaped (n, 1) gives one row per position."""
     j = np.arange(d_head // 2, dtype=np.float64)
     return position * np.power(10000.0, -2.0 * j / d_head)
 
@@ -248,39 +314,43 @@ def load_rope_tables(image: MemoryImage, layout: Layout, block: int) -> None:
     bl = layout.blocks[block]
     m = layout.model
     dh = slots_of(m.d_head)
-    per_row = ROW_SLOTS // dh
+    run, per_row = dh * LANE, ROW_SLOTS // dh
     st = image.device(bl.master)
-    for pos in range(m.max_context):
-        theta = rope_angles(m.d_head, pos)
-        cos = np.repeat(np.cos(theta), 2).astype(np.float32)
-        sin = np.repeat(np.sin(theta), 2).astype(np.float32)
-        row = bl.rope_base_row + pos // per_row
-        off = (pos % per_row) * dh * LANE
-        for g, tab in enumerate((cos, sin)):
-            arr = st.bank_row(bl.norm_channel, BANK_GROUPS * g, row, True,
-                              False)
-            arr[off:off + len(tab)] = bf16_round(tab)
+    theta = rope_angles(m.d_head, np.arange(m.max_context)[:, None])
+    for g, fn in enumerate((np.cos, np.sin)):
+        tab = bf16_round(np.repeat(fn(theta), 2, axis=1).astype(np.float32))
+        for r, p0 in enumerate(range(0, m.max_context, per_row)):
+            runs = tab[p0:p0 + per_row]
+            arr = st.bank_row(bl.norm_channel, BANK_GROUPS * g,
+                              bl.rope_base_row + r, True, False)
+            arr[:len(runs) * run].reshape(len(runs), run)[:, :m.d_head] = runs
 
 
 def load_kv_history(image: MemoryImage, layout: Layout, block: int,
                     k_cache, v_cache) -> None:
     """Install rotated K/V cache contents for positions [0, n)."""
     bl = layout.blocks[block]
-    k = np.asarray(k_cache, dtype=np.float32)
-    v = np.asarray(v_cache, dtype=np.float32)
+    k = bf16_round(np.asarray(k_cache, dtype=np.float32))
+    v = bf16_round(np.asarray(v_cache, dtype=np.float32))
+    n_pos = k.shape[1]
     st = image.device(bl.master)
     for kv in bl.kv:
-        for pos in range(k.shape[1]):
-            row, co = kv.k_loc(pos // LANE)
-            arr = st.bank_row(kv.channel, pos % LANE, row, True, False)
-            arr[co * LANE:co * LANE + kv.d_head] = bf16_round(
-                k[kv.kv_head, pos])
-            for g in range(kv.dh_slots):
-                vrow, vco, lane = kv.v_loc(g, pos)
-                for bank in range(min(LANE, kv.d_head - g * LANE)):
-                    varr = st.bank_row(kv.channel, bank, vrow, True, False)
-                    varr[vco * LANE + lane] = bf16_round(
-                        v[kv.kv_head, pos, g * LANE + bank])[()]
+        # the keys of positions 16i..16i+15 are one run in banks 0..15
+        for i in range(slots_of(n_pos)):
+            row, co = kv.k_loc(i)
+            keys = k[kv.kv_head, i * LANE:(i + 1) * LANE]
+            data, written = st.slab(kv.channel, row)
+            data[:len(keys), co * LANE:co * LANE + kv.d_head] = keys
+            written[:len(keys)] = True
+        # V^T: dimension 16g+b in bank b, one row per ROW_ELEMS positions
+        for g in range(kv.dh_slots):
+            nb = min(LANE, kv.d_head - g * LANE)
+            for p0 in range(0, n_pos, ROW_ELEMS):
+                row, _, _ = kv.v_loc(g, p0)
+                vals = v[kv.kv_head, p0:p0 + ROW_ELEMS, g * LANE:g * LANE + nb]
+                data, written = st.slab(kv.channel, row)
+                data[:nb, :len(vals)] = vals.T
+                written[:nb] = True
 
 
 def load_block_weights(image: MemoryImage, layout: Layout, block: int,
@@ -335,20 +405,27 @@ class _DevProgram:
     routines: dict
     pc: int = 0
     fifo: deque = field(default_factory=deque)
+    state: Optional[DeviceState] = None
 
 
 class _Executor:
+    """Opcode semantics. Each handler takes the program and one
+    instruction and unpacks its operands in OPCODE_FIELDS order."""
+
     def __init__(self, image: MemoryImage, programs: dict,
                  groups: Optional[dict]):
         self.image = image
+        self.strict = image.strict
         self.programs = programs
         self.groups = groups or {}
         self.default_group = tuple(sorted(programs))
+        for p in programs.values():
+            p.state = image.device(p.device)
 
     # -- state helpers ------------------------------------------------------
 
     def _sb_read(self, st: DeviceState, base: int, n: int) -> np.ndarray:
-        if self.image.strict and not st.sb_written[base:base + n].all():
+        if self.strict and not st.sb_written[base:base + n].all():
             raise PoisonError(f"read of unwritten Shared Buffer slots "
                               f"[{base}, {base + n})")
         return bf16_to_f32(st.sb[base:base + n])
@@ -359,252 +436,238 @@ class _Executor:
         st.sb[base:base + n] = bits
         st.sb_written[base:base + n] = True
 
-    def _row_f32(self, st: DeviceState, ch: int, bank: int, row: int,
-                 write: bool = False) -> np.ndarray:
-        return st.bank_row(ch, bank, row, write, self.image.strict)
-
-    # -- opcode semantics ---------------------------------------------------
-
-    def execute(self, prog: _DevProgram, inst: Instruction) -> None:
-        getattr(self, "_op_" + inst.opcode.lower())(prog, inst)
-
-    def _op_wr_gb(self, prog, inst):
-        st = self.image.device(prog.device)
-        vals = st.sb[inst.Rs:inst.Rs + inst.OPsize]
-        if self.image.strict and \
-                not st.sb_written[inst.Rs:inst.Rs + inst.OPsize].all():
-            raise PoisonError(f"WR_GB from unwritten slots at {inst.Rs}")
-        for ch in mask_channels(inst.CHmask):
-            gb, written = st.gb_arrays(ch)
-            gb[inst.CO:inst.CO + inst.OPsize] = vals
-            written[inst.CO:inst.CO + inst.OPsize] = True
-
-    def _op_wr_bias(self, prog, inst):
-        st = self.image.device(prog.device)
-        for ch in mask_channels(inst.CHmask):
-            st.armed[ch] = inst.Rs
+    def _sb_run(self, st: DeviceState, base: int, n: int,
+                what: str) -> np.ndarray:
+        """Bits of slots [base, base + n), poisoned if any is unwritten."""
+        if self.strict and not st.sb_written[base:base + n].all():
+            raise PoisonError(f"{what} from unwritten slots at {base}")
+        return st.sb[base:base + n]
 
     def _gb_operand(self, st, ch, co, n):
         gb, written = st.gb_arrays(ch)
-        if self.image.strict and not written[co:co + n].all():
+        if self.strict and not written[co:co + n].all():
             raise PoisonError(f"MAC reads unwritten Global Buffer slots "
                               f"[{co}, {co + n}) on channel {ch}")
         return bf16_to_f32(gb[co:co + n])
 
+    # -- opcode semantics ---------------------------------------------------
+
+    def _op_wr_gb(self, prog, inst):
+        mask, n, co, rs = inst.operands
+        st = prog.state
+        vals = self._sb_run(st, rs, n, "WR_GB")
+        for ch in mask_channels(mask):
+            gb, written = st.gb_arrays(ch)
+            gb[co:co + n] = vals
+            written[co:co + n] = True
+
+    def _op_wr_bias(self, prog, inst):
+        mask, rs = inst.operands
+        for ch in mask_channels(mask):
+            prog.state.armed[ch] = rs
+
     def _op_mac_abk(self, prog, inst):
-        st = self.image.device(prog.device)
-        n, co, row = inst.OPsize, inst.CO, inst.RO
-        for ch in mask_channels(inst.CHmask):
+        mask, n, row, co, reg = inst.operands
+        st = prog.state
+        for ch in mask_channels(mask):
             acc = st.acc_array(ch)
             if st.armed.get(ch) is not None:
-                bias = self._sb_read(st, st.armed[ch], 1)[0]
-                acc[:, inst.Regid] = bias
+                acc[:, reg] = self._sb_read(st, st.armed[ch], 1)[0]
                 st.armed[ch] = None
-            rows = [bf16_to_f32(
-                self._row_f32(st, ch, b, row)[co * LANE:(co + n) * LANE]
-                ).reshape(n, LANE) for b in range(BANKS)]
+            w = bf16_to_f32(st.read_slab(
+                ch, row, co * LANE, (co + n) * LANE, self.strict)
+                ).reshape(BANKS, n, LANE)
             if inst.source_select == "GB":
-                vec = self._gb_operand(st, ch, co, n)
-                partial = np.stack([_tree_sum(rows[b] * vec)
-                                    for b in range(BANKS)])
+                partial = _tree_sum(w * self._gb_operand(st, ch, co, n))
             else:
-                partial = np.stack([_tree_sum(rows[b] * rows[b ^ 1])
-                                    for b in range(BANKS)])
+                partial = _tree_sum(w * w[_NEIGHBOR])
             # column micro-ops accumulate sequentially in FP32; cumsum
             # reproduces the running left-to-right sum exactly
-            run = np.concatenate(
-                [acc[:, inst.Regid:inst.Regid + 1], partial], axis=1)
-            acc[:, inst.Regid] = np.cumsum(run, axis=1,
-                                           dtype=np.float32)[:, -1]
+            run = np.concatenate([acc[:, reg:reg + 1], partial], axis=1)
+            acc[:, reg] = np.cumsum(run, axis=1, dtype=np.float32)[:, -1]
 
     def _op_rd_mac(self, prog, inst):
-        st = self.image.device(prog.device)
-        for ch in mask_channels(inst.CHmask):
-            acc = st.acc_array(ch)
-            self._sb_write(st, inst.Rd, bf16_round(acc[:, inst.Regid]))
+        mask, rd, reg = inst.operands
+        st = prog.state
+        for ch in mask_channels(mask):
+            self._sb_write(st, rd, bf16_round(st.acc_array(ch)[:, reg]))
 
     def _op_af(self, prog, inst):
-        st = self.image.device(prog.device)
-        for ch in mask_channels(inst.CHmask):
-            acc = st.acc_array(ch)
-            acc[:, inst.Regid] = apply_af(inst.AFid, acc[:, inst.Regid])
+        mask, af, reg = inst.operands
+        for ch in mask_channels(mask):
+            acc = prog.state.acc_array(ch)
+            acc[:, reg] = apply_af(af, acc[:, reg])
 
     def _op_ew_mul(self, prog, inst):
-        st = self.image.device(prog.device)
-        lo, hi = inst.CO * LANE, (inst.CO + inst.OPsize) * LANE
-        for ch in mask_channels(inst.CHmask):
-            for g in range(BANK_GROUPS):
-                bank = BANK_GROUPS * g
-                a = bf16_to_f32(self._row_f32(st, ch, bank, inst.RO)[lo:hi])
-                b = bf16_to_f32(
-                    self._row_f32(st, ch, bank + 1, inst.RO)[lo:hi])
-                out = self._row_f32(st, ch, bank + 2, inst.RO, write=True)
-                out[lo:hi] = bf16_round(a * b)
+        mask, n, row, co = inst.operands
+        st = prog.state
+        lo, hi = co * LANE, (co + n) * LANE
+        for ch in mask_channels(mask):
+            x = bf16_to_f32(st.read_slab(ch, row, lo, hi, self.strict,
+                                         _EW_INPUTS))
+            data, written = st.slab(ch, row)
+            data[2::_GROUP_STRIDE, lo:hi] = bf16_round(
+                x[0::_GROUP_STRIDE] * x[1::_GROUP_STRIDE])
+            written[2::_GROUP_STRIDE] = True
 
     def _op_wr_sbk(self, prog, inst):
-        st = self.image.device(prog.device)
-        vals = st.sb[inst.Rs:inst.Rs + inst.OPsize]
-        if self.image.strict and \
-                not st.sb_written[inst.Rs:inst.Rs + inst.OPsize].all():
-            raise PoisonError(f"WR_SBK from unwritten slots at {inst.Rs}")
-        arr = self._row_f32(st, inst.CHid, inst.BK, inst.RO, write=True)
-        lo = inst.CO * LANE
-        arr[lo:lo + inst.OPsize * LANE] = vals.reshape(-1)
+        ch, n, bank, row, co, rs = inst.operands
+        st = prog.state
+        vals = self._sb_run(st, rs, n, "WR_SBK")
+        st.bank_row(ch, bank, row, True, False)[
+            co * LANE:(co + n) * LANE] = vals.reshape(-1)
 
     def _op_rd_sbk(self, prog, inst):
-        st = self.image.device(prog.device)
-        arr = self._row_f32(st, inst.CHid, inst.BK, inst.RO)
-        lo = inst.CO * LANE
-        vals = arr[lo:lo + inst.OPsize * LANE].reshape(inst.OPsize, LANE)
-        self._sb_write(st, inst.Rd, vals.copy())
+        ch, n, bank, row, co, rd = inst.operands
+        st = prog.state
+        arr = st.bank_row(ch, bank, row, False, self.strict)
+        self._sb_write(st, rd,
+                       arr[co * LANE:(co + n) * LANE].reshape(n, LANE))
 
     def _op_wr_abk(self, prog, inst):
-        st = self.image.device(prog.device)
-        if self.image.strict and not st.sb_written[inst.Rs]:
-            raise PoisonError(f"WR_ABK from unwritten slot {inst.Rs}")
-        vals = st.sb[inst.Rs]                       # lane b -> bank b
-        pos = inst.CO * LANE + inst.Regid
-        for bank in range(BANKS):
-            arr = self._row_f32(st, inst.CHid, bank, inst.RO, write=True)
-            arr[pos] = vals[bank]
+        ch, row, co, rs, reg = inst.operands
+        st = prog.state
+        if self.strict and not st.sb_written[rs]:
+            raise PoisonError(f"WR_ABK from unwritten slot {rs}")
+        data, written = st.slab(ch, row)
+        data[:, co * LANE + reg] = st.sb[rs]        # lane b -> bank b
+        written[:] = True
 
     def _op_copy_bkgb(self, prog, inst):
-        st = self.image.device(prog.device)
-        lo = inst.CO * LANE
-        for ch in mask_channels(inst.CHmask):
-            arr = self._row_f32(st, ch, inst.copy_bank, inst.RO)
+        mask, n, row, co = inst.operands
+        st = prog.state
+        for ch in mask_channels(mask):
+            arr = st.bank_row(ch, inst.copy_bank, row, False, self.strict)
             gb, written = st.gb_arrays(ch)
-            gb[inst.CO:inst.CO + inst.OPsize] = \
-                arr[lo:lo + inst.OPsize * LANE].reshape(inst.OPsize, LANE)
-            written[inst.CO:inst.CO + inst.OPsize] = True
+            gb[co:co + n] = arr[co * LANE:(co + n) * LANE].reshape(n, LANE)
+            written[co:co + n] = True
 
     def _op_copy_gbbk(self, prog, inst):
-        st = self.image.device(prog.device)
-        lo = inst.CO * LANE
-        for ch in mask_channels(inst.CHmask):
-            vec = self._gb_operand(st, ch, inst.CO, inst.OPsize)
-            arr = self._row_f32(st, ch, inst.copy_bank, inst.RO, write=True)
-            arr[lo:lo + inst.OPsize * LANE] = bf16_round(vec).reshape(-1)
+        mask, n, row, co = inst.operands
+        st = prog.state
+        for ch in mask_channels(mask):
+            vec = self._gb_operand(st, ch, co, n)
+            arr = st.bank_row(ch, inst.copy_bank, row, True, False)
+            arr[co * LANE:(co + n) * LANE] = bf16_round(vec).reshape(-1)
 
     # -- near-memory units --------------------------------------------------
 
     def _op_exp(self, prog, inst):
-        st = self.image.device(prog.device)
-        x = self._sb_read(st, inst.Rs, inst.OPsize)
+        n, rd, rs = inst.operands
+        st = prog.state
+        x = self._sb_read(st, rs, n)
         y = np.clip(x - np.float32(st.stab), -16.0, 0.0)
-        self._sb_write(st, inst.Rd, bf16_round(taylor_exp(y)))
+        self._sb_write(st, rd, bf16_round(taylor_exp(y)))
 
     def _op_red(self, prog, inst):
-        st = self.image.device(prog.device)
-        x = self._sb_read(st, inst.Rs, inst.OPsize).reshape(-1)
+        n, rd, rs = inst.operands
+        st = prog.state
+        x = self._sb_read(st, rs, n).reshape(-1)
         if inst.red_mode == "MAX":
             r = np.float32(x.max())
         else:
-            n = 1 << (len(x) - 1).bit_length()
-            pad = np.zeros(n, dtype=np.float32)
+            size = 1 << (len(x) - 1).bit_length()
+            pad = np.zeros(size, dtype=np.float32)
             pad[:len(x)] = x
             r = _tree_sum(pad)
-        self._sb_write(st, inst.Rd, bf16_round(np.full(LANE, r)))
+        self._sb_write(st, rd, bf16_round(np.full(LANE, r)))
 
     def _op_acc(self, prog, inst):
-        st = self.image.device(prog.device)
-        a = self._sb_read(st, inst.Rd, inst.OPsize)
-        b = self._sb_read(st, inst.Rs, inst.OPsize)
-        self._sb_write(st, inst.Rd, bf16_round(a + b))
+        n, rd, rs = inst.operands
+        st = prog.state
+        a = self._sb_read(st, rd, n)
+        b = self._sb_read(st, rs, n)
+        self._sb_write(st, rd, bf16_round(a + b))
 
     def _op_riscv(self, prog, inst):
-        kind, params = prog.routines.get(inst.PC, ("generic", ()))
-        getattr(self, "_rv_" + kind)(prog, inst, params)
+        n, pc, rd, rs = inst.operands
+        kind, params = prog.routines.get(pc, ("generic", ()))
+        getattr(self, "_rv_" + kind)(prog.state, n, rd, rs, params)
 
     # -- CXL ----------------------------------------------------------------
 
     def _op_send_cxl(self, prog, inst):
-        st = self.image.device(prog.device)
-        payload = st.sb[inst.Rs].copy()
-        if self.image.strict and not st.sb_written[inst.Rs]:
-            raise PoisonError(f"SEND of unwritten slot {inst.Rs}")
-        if inst.DVid not in self.programs:
-            raise SimError(f"SEND to device {inst.DVid} with no trace")
-        self.programs[inst.DVid].fifo.append((inst.Rd, payload))
+        dest, rs, rd = inst.operands
+        st = prog.state
+        payload = st.sb[rs].copy()
+        if self.strict and not st.sb_written[rs]:
+            raise PoisonError(f"SEND of unwritten slot {rs}")
+        if dest not in self.programs:
+            raise SimError(f"SEND to device {dest} with no trace")
+        self.programs[dest].fifo.append((rd, payload))
 
     def _op_bcast_cxl(self, prog, inst):
-        st = self.image.device(prog.device)
-        payload = st.sb[inst.Rs].copy()
+        count, rs, rd = inst.operands
+        payload = prog.state.sb[rs].copy()
         group = self.groups.get(prog.device, self.default_group)
-        dests = [d for d in group if d != prog.device][:inst.DVcount]
-        if len(dests) != inst.DVcount:
-            raise SimError(f"broadcast fanout {inst.DVcount} exceeds "
+        dests = [d for d in group if d != prog.device][:count]
+        if len(dests) != count:
+            raise SimError(f"broadcast fanout {count} exceeds "
                            f"group of device {prog.device}")
         for d in dests:
-            self.programs[d].fifo.append((inst.Rd, payload))
+            self.programs[d].fifo.append((rd, payload))
 
     def _op_recv_cxl(self, prog, inst):
         slot, payload = prog.fifo.popleft()
-        st = self.image.device(prog.device)
-        st.sb[slot] = payload
-        st.sb_written[slot] = True
+        prog.state.sb[slot] = payload
+        prog.state.sb_written[slot] = True
 
-    # -- scalar-core routines ----------------------------------------------
+    # -- scalar-core routines: (state, OPsize, Rd, Rs, params) ---------------
 
-    def _rv_rms_finalize(self, prog, inst, params):
+    def _rv_rms_finalize(self, st, n, rd, rs, params):
         d, eps, dup = params
-        st = self.image.device(prog.device)
-        sq = self._sb_read(st, inst.Rs, 1)[0, 0]
+        sq = self._sb_read(st, rs, 1)[0, 0]
         r = 1.0 / math.sqrt(sq / dup / d + eps)
-        self._sb_write(st, inst.Rd, bf16_round(np.full(LANE, r)))
+        self._sb_write(st, rd, bf16_round(np.full(LANE, r)))
 
-    def _rv_scale(self, prog, inst, params):
-        st = self.image.device(prog.device)
+    def _rv_scale(self, st, n, rd, rs, params):
         f = self._sb_read(st, params[0], 1)[0, 0]
-        x = self._sb_read(st, inst.Rs, inst.OPsize)
-        self._sb_write(st, inst.Rd, bf16_round(x * f))
+        x = self._sb_read(st, rs, n)
+        self._sb_write(st, rd, bf16_round(x * f))
 
-    def _rv_scale_const(self, prog, inst, params):
-        st = self.image.device(prog.device)
-        x = self._sb_read(st, inst.Rs, inst.OPsize)
-        self._sb_write(st, inst.Rd, bf16_round(x * np.float32(params[0])))
+    def _rv_scale_const(self, st, n, rd, rs, params):
+        x = self._sb_read(st, rs, n)
+        self._sb_write(st, rd, bf16_round(x * np.float32(params[0])))
 
-    def _rv_rope_pack(self, prog, inst, params):
-        st = self.image.device(prog.device)
-        x = self._sb_read(st, inst.Rs, inst.OPsize).reshape(-1)
+    def _rv_rope_pack(self, st, n, rd, rs, params):
+        x = self._sb_read(st, rs, n).reshape(-1)
         out = np.empty_like(x)
         out[0::2] = -x[1::2]
         out[1::2] = x[0::2]
-        self._sb_write(st, inst.Rd, bf16_round(out.reshape(-1, LANE)))
+        self._sb_write(st, rd, bf16_round(out.reshape(-1, LANE)))
 
-    def _rv_rope_combine(self, prog, inst, params):
+    def _rv_rope_combine(self, st, n, rd, rs, params):
         dh = params[0]
-        st = self.image.device(prog.device)
-        a = self._sb_read(st, inst.Rs, dh)
-        b = self._sb_read(st, inst.Rs + dh, dh)
-        self._sb_write(st, inst.Rd, bf16_round(a + b))
+        a = self._sb_read(st, rs, dh)
+        b = self._sb_read(st, rs + dh, dh)
+        self._sb_write(st, rd, bf16_round(a + b))
 
-    def _rv_fill(self, prog, inst, params):
-        st = self.image.device(prog.device)
-        self._sb_write(st, inst.Rd,
+    def _rv_fill(self, st, n, rd, rs, params):
+        self._sb_write(st, rd,
                        bf16_round(np.full(LANE, np.float32(params[0]))))
 
-    def _rv_maxacc(self, prog, inst, params):
-        st = self.image.device(prog.device)
-        a = self._sb_read(st, inst.Rd, 1)[0, 0]
-        b = self._sb_read(st, inst.Rs, 1)[0, 0]
-        self._sb_write(st, inst.Rd, bf16_round(np.full(LANE, max(a, b))))
+    def _rv_maxacc(self, st, n, rd, rs, params):
+        a = self._sb_read(st, rd, 1)[0, 0]
+        b = self._sb_read(st, rs, 1)[0, 0]
+        self._sb_write(st, rd, bf16_round(np.full(LANE, max(a, b))))
 
-    def _rv_set_stab(self, prog, inst, params):
-        st = self.image.device(prog.device)
-        st.stab = float(self._sb_read(st, inst.Rs, 1)[0, 0])
+    def _rv_set_stab(self, st, n, rd, rs, params):
+        st.stab = float(self._sb_read(st, rs, 1)[0, 0])
 
-    def _rv_mask_tail(self, prog, inst, params):
+    def _rv_mask_tail(self, st, n, rd, rs, params):
         keep = params[0]
-        st = self.image.device(prog.device)
-        x = self._sb_read(st, inst.Rd, 1)[0].copy()
+        x = self._sb_read(st, rd, 1)[0].copy()
         x[keep:] = -3.0e38
-        self._sb_write(st, inst.Rd, bf16_round(x))
+        self._sb_write(st, rd, bf16_round(x))
 
-    def _rv_recip(self, prog, inst, params):
-        st = self.image.device(prog.device)
-        v = self._sb_read(st, inst.Rs, 1)[0, 0]
-        self._sb_write(st, inst.Rd, bf16_round(np.full(LANE, 1.0 / v)))
+    def _rv_recip(self, st, n, rd, rs, params):
+        v = self._sb_read(st, rs, 1)[0, 0]
+        self._sb_write(st, rd, bf16_round(np.full(LANE, 1.0 / v)))
+
+
+# opcode -> its _Executor handler
+_HANDLERS = {op: getattr(_Executor, "_op_" + op.lower())
+             for op in OPCODE_FIELDS}
 
 
 def run_trace(traces, image: MemoryImage,
@@ -636,7 +699,7 @@ def run_trace(traces, image: MemoryImage,
                 inst = p.instructions[p.pc]
                 if inst.opcode == "RECV_CXL" and not p.fifo:
                     break
-                ex.execute(p, inst)
+                _HANDLERS[inst.opcode](ex, p, inst)
                 p.pc += 1
                 progressed = True
             if p.pc == len(p.instructions):

@@ -11,11 +11,12 @@ Buffer. `make_instruction`, both compiler sinks and `validate_trace`
 call it, so every emitted instruction is held to the same rules.
 
 The rules are one table per config (`_operand_rules`): each operand's
-bounds and each run's extent. From that table each opcode gets one
-compiled predicate, a straight line of comparisons against the table's
-numbers, which every check runs. Only an instruction it rejects walks
-the table, to name the first rule broken, so the predicate and the
-error messages cannot drift apart.
+bounds and each run's extent. Configs equal in the numbers the table
+reads share one table. From that table each opcode gets one compiled
+predicate, a straight line of comparisons against the table's numbers,
+which every check runs. Only an instruction it rejects walks the
+table, to name the first rule broken, so the predicate and the error
+messages cannot drift apart.
 
 `microop_count` gives the micro-ops an instruction expands to, by the
 per-opcode rule in MICROOP_RULES that the compiler's counters read too.
@@ -23,6 +24,7 @@ per-opcode rule in MICROOP_RULES that the compiler's counters read too.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -151,25 +153,35 @@ def _compile(tables: dict) -> dict:
 
 
 def _operand_rules(cfg: Optional[ArchConfig]) -> dict[str, _Rule]:
-    """opcode -> _Rule, built once per config and cached on it (pickling
-    an ArchConfig leaves the cache behind)."""
+    """opcode -> _Rule for a config, cached on it (pickling an
+    ArchConfig leaves the cache behind). Configs equal in the numbers
+    the rules read share one table."""
     cfg = cfg or _DEFAULT_ARCH
     cached = getattr(cfg, "_isa_rules", None)
     if cached is not None:
         return cached
-    chans = cfg.channels_per_device
+    rules = _rules_for(cfg.channels_per_device, cfg.rows_per_bank,
+                       cfg.gb_slots, cfg.sb_slots, cfg.n_devices)
+    object.__setattr__(cfg, "_isa_rules", rules)
+    return rules
+
+
+@functools.lru_cache(maxsize=64)
+def _rules_for(chans: int, rows_per_bank: int, gb_slots: int,
+               sb_slots: int, n_devices: int) -> dict[str, _Rule]:
+    """Build and compile the rule table of one set of config numbers."""
     table = {
         "CHmask": (1, 1 << chans),
         "CHid":   (0, chans),
         "OPsize": (1, 1 << 16),
-        "RO":     (0, cfg.rows_per_bank),
+        "RO":     (0, rows_per_bank),
         "CO":     (0, ROW_SLOTS),
         "BK":     (0, BANKS),
         "Regid":  (0, REGS),
         "AFid":   (0, len(AF_NAMES)),
-        "Rs":     (0, cfg.sb_slots),
-        "Rd":     (0, cfg.sb_slots),
-        "DVid":   (0, cfg.n_devices),
+        "Rs":     (0, sb_slots),
+        "Rd":     (0, sb_slots),
+        "DVid":   (0, n_devices),
         "DVcount": (1, 256),
         "PC":     (0, 1 << 32),
     }
@@ -180,23 +192,21 @@ def _operand_rules(cfg: Optional[ArchConfig]) -> dict[str, _Rule]:
         extents = []
         if op == "WR_GB":
             # WR_GB's CO indexes Global Buffer slots, not DRAM columns
-            bounds[idx["CO"]] = ("CO", 0, cfg.gb_slots)
-            extents.append((idx["CO"], idx["OPsize"], cfg.gb_slots,
+            bounds[idx["CO"]] = ("CO", 0, gb_slots)
+            extents.append((idx["CO"], idx["OPsize"], gb_slots,
                             "WR_GB: slots {}+{} exceed Global Buffer "
-                            f"({cfg.gb_slots} slots)"))
+                            f"({gb_slots} slots)"))
         elif op in _COLUMN_WALKERS:
             extents.append((idx["CO"], idx["OPsize"], ROW_SLOTS,
                             f"{op}: columns {{}}+{{}} cross the row boundary "
                             f"({ROW_SLOTS} columns per row); split at rows"))
         for name in _SLOT_RUNS.get(op, ()):
-            extents.append((idx[name], idx["OPsize"], cfg.sb_slots,
+            extents.append((idx[name], idx["OPsize"], sb_slots,
                             f"{op}: {name}={{}} run of {{}} exceeds Shared "
-                            f"Buffer ({cfg.sb_slots} slots)"))
+                            f"Buffer ({sb_slots} slots)"))
         tables[op] = (tuple(bounds), tuple(extents))
     accepts = _compile(tables)
-    rules = {op: _Rule(*tables[op], accepts[op]) for op in tables}
-    object.__setattr__(cfg, "_isa_rules", rules)
-    return rules
+    return {op: _Rule(*tables[op], accepts[op]) for op in tables}
 
 
 def _first_broken_rule(opcode: str, operands: tuple, source_select: str,

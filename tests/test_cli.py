@@ -59,6 +59,9 @@ def test_verify_two_device_pipeline_passes(capsys):
     ["compile", "--model", "toy", "--pos", "-1", "--out", "out"],
     # TimingError: an explicit zero decode is not the default decode
     ["simulate", "--model", "toy", "--decode", "0"],
+    # an explicit zero context is not the default context either
+    ["compile", "--model", "toy", "--context", "0", "--out", "out"],
+    ["simulate", "--model", "toy", "--context", "0", "--out", "out"],
 ])
 def test_lowering_errors_exit_2_with_one_line(argv, capsys, tmp_path,
                                               monkeypatch):

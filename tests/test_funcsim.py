@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from cxlpim.config import ArchConfig, ModelSpec
+from cxlpim.config import CONFIGS_DIR, ArchConfig, ModelSpec, load_config
 from cxlpim.isa import make_instruction, validate_trace
 from cxlpim.mapper import plan_hybrid, plan_pipeline
 from cxlpim import compiler as C
@@ -318,6 +319,36 @@ def test_multi_kv_head_token_matches_order_matched_reference(n_devices):
             h, _, _ = reference_block(MKV, weights[b], h, ks[b], vs[b], pos,
                                       match_hardware=True, down_perm=perm)
         assert np.array_equal(got, h), pos
+
+
+# the shipped model with real attention shapes: d_head 128, two KV
+# heads, a 2048-position cache
+MID, _ = load_config(CONFIGS_DIR / "mid.json")
+
+
+@pytest.mark.parametrize("n_devices, pos", [
+    (1, 511), (1, 512), (1, 1023), (1, 1024), (2, 2047)])
+def test_mid_model_token_matches_order_matched_reference(n_devices, pos):
+    """Position 512 is the first whose score pass needs more than REGS
+    KV groups (a second chunk); past 1023 the score x V pass spans two
+    Global Buffer tiles. On 2 devices a second layer puts one block on
+    each, so the hidden state crosses by SEND/RECV."""
+    model = dataclasses.replace(MID, n_layers=n_devices)
+    plan = plan_pipeline(model, ARCH, model.max_context, n_devices=n_devices)
+    layout = C.build_layout(model, plan, ARCH)
+    rng = np.random.default_rng(pos)
+    weights, ks, vs, hidden = toy_state(rng, pos, model)
+    traces, got = run_toy_token(plan, layout, weights, ks, vs, hidden, pos)
+    report = validate_trace({t.device: t.instructions for t in traces}, ARCH)
+    assert report.well_formed, [f.message for f in report.findings]
+    sends = sum(i.opcode == "SEND_CXL" for t in traces for i in t.instructions)
+    assert (sends > 0) == (n_devices > 1)
+    h = hidden.copy()
+    for b, bl in enumerate(layout.blocks):
+        perm = bl.placements["down"][bl.master].col_perm
+        h, _, _ = reference_block(model, weights[b], h, ks[b], vs[b], pos,
+                                  match_hardware=True, down_perm=perm)
+    assert np.array_equal(got, h)
 
 
 def test_two_device_pipeline_matches_single_device():

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -130,6 +131,21 @@ def test_validate_send_without_recv():
 
     trace[3] = [make_instruction("RECV_CXL")]
     assert validate_trace(trace, CFG).well_formed
+
+
+def test_equal_configs_share_one_rule_table():
+    """Rule tables are shared by the numbers they read, not by config
+    identity, and never pickled with a config."""
+    first, second = ArchConfig(), ArchConfig(pnm_clock_Hz=1e9)
+    assert isa._operand_rules(first) is isa._operand_rules(second)
+    small = ArchConfig(shared_buffer_B=8 * KB)
+    rules = isa._operand_rules(small)
+    assert rules is not isa._operand_rules(first)
+    rs_hi = {name: hi for name, _, hi in rules["EXP"].bounds}["Rs"]
+    assert rs_hi == small.sb_slots == 256
+    assert _raised(isa.check_operands, "EXP", (1, 0, 256), cfg=small)
+    assert _raised(isa.check_operands, "EXP", (1, 0, 256), cfg=first) is None
+    assert "_isa_rules" not in vars(pickle.loads(pickle.dumps(small)))
 
 
 def test_validate_gb_overflow():
