@@ -430,7 +430,7 @@ class CountSink:
             s.pnm_microops += n
         elif kind == _RISCV:
             s.pnm_microops += n
-            s.riscv_slots[riscv_kind or "generic"] += opsize
+            s.riscv_slots[riscv_kind] += opsize
         elif kind == _CXL:
             s.cxl_sent_B += WORD_B
 
@@ -752,6 +752,8 @@ class Emitter:
 
     def riscv(self, kind: str, opsize: int, rd: int, rs: int,
               params: tuple = ()) -> None:
+        if kind not in isa.RV_ROUTINES:
+            raise CompileError(f"unknown RISC-V routine {kind!r}")
         key = (kind, params)
         pc = self._routines.get(key)
         if pc is None:

@@ -83,9 +83,6 @@ class TimingParams:
     tRFC_ns: float = 110.0
     # controller front-end cost per decoded instruction
     dispatch_ns: float = 0.5
-    # scalar-core routine latencies, in PNM cycles
-    rv_cycles: dict = field(default_factory=lambda: {
-        "recip": 20, "rsqrt": 24, "rope_pack": 2, "rope_unpack": 2})
     pnm_fill_cycles: int = 4
 
     def __post_init__(self) -> None:
@@ -95,6 +92,8 @@ class TimingParams:
                      "tCCDS_ns", "tRP_ns", "dispatch_ns"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
+        if self.tREFI_ns <= 0:
+            raise ConfigError("tREFI_ns must be positive")
 
 
 @dataclass(frozen=True)
@@ -184,7 +183,8 @@ class ArchConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_devices", "channels_per_device", "bank_capacity_B",
-                     "global_buffer_B", "shared_buffer_B", "n_scalar_cores"):
+                     "global_buffer_B", "shared_buffer_B", "pnm_clock_Hz",
+                     "n_scalar_cores"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
 
@@ -296,19 +296,26 @@ def _set_path(obj, parts: list[str], value):
     name = parts[0]
     if not any(f.name == name for f in dataclasses.fields(obj)):
         raise ConfigError(f"unknown config field: {name}")
-    if len(parts) == 1:
-        current = getattr(obj, name)
-        if dataclasses.is_dataclass(current):
-            raise ConfigError(f"{name} is a section, not a value")
-        if isinstance(current, bool):
-            value = str(value).lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            value = int(value)
-        elif isinstance(current, float):
-            value = float(value)
-        return dataclasses.replace(obj, **{name: value})
-    child = _set_path(getattr(obj, name), parts[1:], value)
-    return dataclasses.replace(obj, **{name: child})
+    current = getattr(obj, name)
+    if len(parts) > 1:
+        if not dataclasses.is_dataclass(current):
+            raise ConfigError(f"{name} is a value, not a section")
+        child = _set_path(current, parts[1:], value)
+        return dataclasses.replace(obj, **{name: child})
+    if dataclasses.is_dataclass(current):
+        raise ConfigError(f"{name} is a section, not a value")
+    if isinstance(current, dict):
+        raise ConfigError(f"{name} is a table: set it in a config file "
+                          f"(or use --gpu-reference)")
+    if isinstance(current, bool):
+        value = str(value).lower() in ("1", "true", "yes")
+    elif isinstance(current, (int, float)):
+        try:
+            value = type(current)(value)
+        except ValueError:
+            raise ConfigError(f"{name}: expected {type(current).__name__}, "
+                              f"got {value!r}") from None
+    return dataclasses.replace(obj, **{name: value})
 
 
 def load_energy_params(name_or_path: str) -> EnergyParams:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import (BANK_GROUPS, BANKS, LANE, REGS, ROW_SLOTS, ArchConfig,
                      ModelSpec)
-from .isa import OPCODE_FIELDS, Instruction, mask_channels
+from .isa import OPCODE_FIELDS, RV_ROUTINES, Instruction, mask_channels
 from .compiler import (
     ROW_ELEMS, EwWeightPlacement, Layout, TensorPlacement, slots_of,
 )
@@ -581,8 +581,12 @@ class _Executor:
 
     def _op_riscv(self, prog, inst):
         n, pc, rd, rs = inst.operands
-        kind, params = prog.routines.get(pc, ("generic", ()))
-        getattr(self, "_rv_" + kind)(prog.state, n, rd, rs, params)
+        kind, params = prog.routines.get(pc, (None, ()))
+        handler = _RV_HANDLERS.get(kind)
+        if handler is None:
+            raise SimError(f"RISCV on device {prog.device}: PC {pc} names "
+                           f"no routine")
+        handler(self, prog.state, n, rd, rs, params)
 
     # -- CXL ----------------------------------------------------------------
 
@@ -668,6 +672,9 @@ class _Executor:
 # opcode -> its _Executor handler
 _HANDLERS = {op: getattr(_Executor, "_op_" + op.lower())
              for op in OPCODE_FIELDS}
+# RISC-V routine kind -> its _Executor handler
+_RV_HANDLERS = {kind: getattr(_Executor, "_rv_" + kind)
+                for kind in RV_ROUTINES}
 
 
 def run_trace(traces, image: MemoryImage,

@@ -20,6 +20,10 @@ messages cannot drift apart.
 
 `microop_count` gives the micro-ops an instruction expands to, by the
 per-opcode rule in MICROOP_RULES that the compiler's counters read too.
+
+RV_ROUTINES names every scalar-core routine a RISCV instruction may run
+and prices it. The compiler emits only these kinds, the timing model
+charges their cycles and the interpreter has one handler per kind.
 """
 
 from __future__ import annotations
@@ -68,6 +72,20 @@ _SLOT_RUNS = {"EXP": ("Rs", "Rd"), "RED": ("Rs",), "ACC": ("Rs", "Rd"),
               "WR_GB": ("Rs",)}
 
 AF_NAMES = {0: "SILU", 1: "GELU", 2: "SIGMOID", 3: "TANH"}
+
+# RISC-V routine kind -> PNM cycles per Shared Buffer slot it walks
+RV_ROUTINES: dict[str, int] = {
+    "rms_finalize": 2,
+    "scale": 2,
+    "scale_const": 2,
+    "rope_pack": 2,
+    "rope_combine": 2,
+    "fill": 2,
+    "maxacc": 2,
+    "set_stab": 2,
+    "mask_tail": 2,
+    "recip": 20,
+}
 
 # opcode -> (OPsize index, CHmask index, slots per micro-op): the
 # instruction expands to ceil(OPsize / slots per micro-op) micro-ops on

@@ -1,34 +1,30 @@
 """Timing model for the PIM fleet.
 
-Three layers, each usable on its own:
+One rule prices every DRAM channel (`channel_busy_ns`), one table
+prices every RISC-V routine (`isa.RV_ROUTINES`), and `simulate_system`
+composes them: it takes compiled activity summaries, one per structure
+class of blocks, adds CXL transfer times and yields per-token and
+per-query latencies, steady-state throughput and the activity counts
+the energy model reads.
 
-  * simulate_channel: schedules a single channel's DRAM command stream
-    under the GDDR6 timing constraints and returns the finish time plus
-    a per-command event log.  Streams with preassigned issue times are
-    validated instead of scheduled.
-  * closed_form_gemv_latency: analytic oracle for row-per-bank GEMV
-    streams; simulate_channel must agree with it exactly.
-  * simulate_system: composes compiled activity summaries, one per
-    structure class of blocks, with CXL transfer times into per-token
-    and per-query latencies, steady-state throughput, and the activity
-    counts consumed by the energy model.
-
-The oracle and the command streams tile a GEMV exactly as the compiler
-lays it out (`compiler.input_tiles`), over the fixed geometry named in
-config (LANE lanes per word, BANKS banks per channel).
+The DRAM rule reads a channel's bracket histogram, which the compiler's
+sinks count from the instructions they emit: each run of bank-row
+instructions in one DRAM row is one activate -> columns -> precharge
+bracket (`bracket_ns`). Global Buffer loads (tCCDS each) and
+accumulator drains (tCL each) are serialized with the brackets, not
+overlapped with them.
 """
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 from . import compiler
 from .compiler import ChannelStats, TraceSummary
 from .config import (BANKS, LANE, WORD_B, ArchConfig, CxlParams, ModelSpec,
                      TimingParams)
+from .isa import RV_ROUTINES
 from .mapper import MappingPlan
 
 
@@ -37,171 +33,28 @@ class TimingError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# single-channel DRAM command scheduling
-
-#: column commands that move data on the channel data bus
-COLUMN_KINDS = frozenset({"MACab", "EWMULab", "RD", "WR", "AFab"})
-COMMAND_KINDS = frozenset({"ACTab", "PREab"}) | COLUMN_KINDS
-
-
-@dataclass
-class DramCommand:
-    """One channel-level command.  `row is None` marks a buffer-side
-    column operation (Global Buffer load or accumulator drain) that
-    needs no open DRAM row."""
-    kind: str
-    channel: int = 0
-    banks: tuple = ()            # empty tuple = all banks
-    row: Optional[int] = None
-    col: Optional[int] = None
-    issue_ns: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind not in COMMAND_KINDS:
-            raise TimingError(f"unknown command kind {self.kind!r}")
-
-
-@dataclass
-class ChannelTimeline:
-    finish_ns: float
-    events: list            # DramCommand with issue_ns filled in
-
-
-def _duration(cmd: DramCommand, t: TimingParams) -> float:
-    if cmd.kind == "PREab":
-        return t.tRP_ns
-    if cmd.kind == "RD":
-        return t.tCL_ns
-    if cmd.kind == "ACTab":
-        return 0.0
-    return t.tCCDS_ns
-
-
-def simulate_channel(commands, t: TimingParams) -> ChannelTimeline:
-    """Schedule (or validate) one channel's command stream.
-
-    Auto mode (no issue times given) places every command at its
-    earliest legal time.  If any command carries an issue time, all
-    must, and each is checked against the constraints implied by its
-    predecessors; violations raise TimingError.
-    """
-    commands = list(commands)
-    given = [c.issue_ns is not None for c in commands]
-    if any(given) and not all(given):
-        raise TimingError("either all or none of the issue times may be set")
-    validate = bool(commands) and all(given)
-
-    bus = 0.0               # command bus free (one command per tCCDS)
-    col_ready = 0.0         # column data path free
-    act_at: Optional[float] = None
-    open_row: Optional[int] = None
-    bank_ready = 0.0        # precharge completion; gates the next ACTab
-    finish = 0.0
-    events = []
-    for cmd in commands:
-        k = cmd.kind
-        if k == "ACTab":
-            if open_row is not None:
-                raise TimingError("ACTab while a row is open")
-            earliest = max(bus, bank_ready)
-        elif k == "PREab":
-            if open_row is None:
-                raise TimingError("PREab with no open row")
-            earliest = max(bus, col_ready, act_at + t.tRAS_ns)
-        elif cmd.row is not None:
-            if open_row is None:
-                raise TimingError(f"{k} with no open row")
-            if cmd.row != open_row:
-                raise TimingError(f"{k} row {cmd.row} but row "
-                                  f"{open_row} is open")
-            trcd = t.tRCDWR_ns if k == "WR" else t.tRCDRD_ns
-            earliest = max(bus, col_ready, act_at + trcd)
-        elif k == "WR":      # Global Buffer load
-            earliest = max(bus, col_ready)
-        elif k == "RD":      # accumulator drain; waits for quiescent banks
-            earliest = max(bus, col_ready, bank_ready)
-        else:
-            raise TimingError(f"{k} requires a row target")
-
-        if validate:
-            if cmd.issue_ns + 1e-9 < earliest:
-                raise TimingError(
-                    f"{k} at {cmd.issue_ns} ns violates earliest legal "
-                    f"issue {earliest} ns")
-            issue = cmd.issue_ns
-            ev = cmd
-        else:
-            issue = earliest
-            ev = DramCommand(k, cmd.channel, cmd.banks, cmd.row, cmd.col,
-                             issue_ns=issue)
-
-        bus = issue + t.tCCDS_ns
-        if k == "ACTab":
-            act_at, open_row = issue, cmd.row if cmd.row is not None else -1
-        elif k == "PREab":
-            bank_ready = issue + t.tRP_ns
-            act_at, open_row = None, None
-        elif cmd.row is not None:
-            col_ready = issue + t.tCCDS_ns
-        elif k == "WR":
-            col_ready = issue + t.tCCDS_ns
-        else:                # accumulator drain: serialized on data return
-            col_ready = issue + t.tCL_ns
-        finish = max(finish, issue + _duration(cmd, t))
-        events.append(ev)
-
-    if t.refresh_enabled and finish > 0:
-        finish *= 1.0 + t.tRFC_ns / t.tREFI_ns
-    return ChannelTimeline(finish_ns=finish, events=events)
-
-
-# ---------------------------------------------------------------------------
-# analytic GEMV oracle
+# DRAM channel timing
 
 def bracket_ns(n_cols: int, t: TimingParams) -> float:
-    """Activate -> n column commands -> precharge, including recovery."""
+    """Activate -> n column commands -> precharge, including recovery:
+    the precharge waits for tRAS after the activate."""
     return (t.tRCDRD_ns + max(n_cols * t.tCCDS_ns,
                               t.tRAS_ns - t.tRCDRD_ns) + t.tRP_ns)
 
 
-def closed_form_gemv_latency(rows: int, cols: int, channels: int,
-                             t: TimingParams) -> float:
-    """Latency of a rows x cols GEMV with 16-row groups dealt round-robin
-    over `channels`; the slowest channel sets the time."""
-    if rows <= 0 or cols <= 0 or channels <= 0:
-        raise TimingError("rows, cols, channels must be positive")
-    groups = math.ceil(rows / LANE)
-    slots = math.ceil(cols / LANE)
-    per_bracket = sum(bracket_ns(n, t) for n in compiler.input_tiles(cols))
-    best = 0.0
-    for c in range(channels):
-        g = groups // channels + (1 if c < groups % channels else 0)
-        if g == 0:
-            continue
-        ch = slots * t.tCCDS_ns + g * per_bracket + g * t.tCL_ns
-        best = max(best, ch)
-    if t.refresh_enabled and best > 0:
-        best *= 1.0 + t.tRFC_ns / t.tREFI_ns
-    return best
-
-
-def gemv_channel_commands(row_groups: int, cols: int,
-                          channel: int = 0) -> list:
-    """Command stream of one channel's share of a GEMV: Global Buffer
-    load, one activate/precharge bracket per DRAM row, one accumulator
-    drain per 16-row group."""
-    cmds = [DramCommand("WR", channel, col=i)
-            for i in range(math.ceil(cols / LANE))]
-    row = 0
-    for _ in range(row_groups):
-        for n in compiler.input_tiles(cols):
-            cmds.append(DramCommand("ACTab", channel, row=row))
-            cmds.extend(DramCommand("MACab", channel, row=row, col=i)
-                        for i in range(n))
-            cmds.append(DramCommand("PREab", channel, row=row))
-            row += 1
-    cmds.extend(DramCommand("RD", channel) for _ in range(row_groups))
-    return cmds
+def channel_busy_ns(st: ChannelStats, t: TimingParams) -> float:
+    """Bank-array busy time of one channel: one `bracket_ns` per DRAM-row
+    run in its bracket histogram, plus one tCCDS per Global Buffer load
+    and one tCL per accumulator drain, all serialized; refresh, when
+    enabled, stretches the total by tRFC / tREFI."""
+    ns = st.wr_gb * t.tCCDS_ns + st.rd_mac * t.tCL_ns
+    # in key order: the histogram's insertion order depends on how its
+    # trace segments were composed, and float sums on their order
+    for n_cols, count in sorted(st.bracket_hist.items()):
+        ns += count * bracket_ns(n_cols, t)
+    if t.refresh_enabled:
+        ns *= 1.0 + t.tRFC_ns / t.tREFI_ns
+    return ns
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +86,6 @@ def cxl_transfer_time(payload_B: float, kind: str, fanout: int,
 # ---------------------------------------------------------------------------
 # compiled-summary timing
 
-def channel_busy_ns(st: ChannelStats, t: TimingParams) -> float:
-    """Bank-array busy time of one channel from its bracket histogram
-    plus buffer-load and accumulator-drain serial overheads."""
-    ns = st.wr_gb * t.tCCDS_ns + st.rd_mac * t.tCL_ns
-    # in key order: the histogram's insertion order depends on how its
-    # trace segments were composed, and float sums on their order
-    for n_cols, count in sorted(st.bracket_hist.items()):
-        ns += count * bracket_ns(n_cols, t)
-    if t.refresh_enabled:
-        ns *= 1.0 + t.tRFC_ns / t.tREFI_ns
-    return ns
-
-
 _PNM_OPS = ("EXP", "RED", "ACC")
 
 
@@ -262,7 +102,7 @@ def device_times(summary: TraceSummary, t: TimingParams,
             pnm += (insts * t.pnm_fill_cycles
                     + summary.microops.get(op, 0)) * cycle
     for kind, slots in summary.riscv_slots.items():
-        pnm += slots * t.rv_cycles.get(kind, 2) * cycle
+        pnm += slots * RV_ROUTINES[kind] * cycle
     dispatch = summary.total_instructions * t.dispatch_ns
     return {"pim": pim, "pnm": pnm, "dispatch": dispatch}
 

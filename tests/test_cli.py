@@ -52,6 +52,23 @@ def test_verify_two_device_pipeline_passes(capsys):
     # geometry, not a config field
     ["simulate", "--model", "toy", "--set", "arch.acc_registers=16",
      "--prefill", "0", "--decode", "16"],
+    # ConfigError at load: RISC-V routine prices are a table in isa
+    ["simulate", "--model", "toy", "--set", "arch.timing.rv_cycles=5",
+     "--prefill", "0", "--decode", "16"],
+    # ConfigError: a --set path through a value, onto a table, and a
+    # value that does not parse
+    ["simulate", "--model", "toy", "--set",
+     "arch.cost.gpu_reference.tokens_per_s=5", "--prefill", "0",
+     "--decode", "16"],
+    ["simulate", "--model", "toy", "--set", "arch.cost.gpu_reference=5",
+     "--prefill", "0", "--decode", "16"],
+    ["simulate", "--model", "toy", "--set", "model.n_layers=abc",
+     "--prefill", "0", "--decode", "16"],
+    # ConfigError: values the timing model divides by
+    ["simulate", "--model", "toy", "--set", "arch.timing.tREFI_ns=0",
+     "--prefill", "0", "--decode", "16"],
+    ["simulate", "--model", "toy", "--set", "arch.pnm_clock_Hz=0",
+     "--prefill", "0", "--decode", "16"],
     # CompileError: positions outside the toy's 64-position KV cache,
     # raised before any output is written
     ["verify", "--model", "toy", "--pos", "-3"],

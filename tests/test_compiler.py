@@ -642,6 +642,12 @@ def test_shared_device_pieces_equal_lowering_each_device(monkeypatch, pp):
         assert got == [lowered(layout, pos) for pos in (0, 40)]
 
 
+def test_unknown_riscv_routine_rejected():
+    em = Emitter(CountSink(0, ARCH), ARCH)
+    with pytest.raises(CompileError, match="unknown RISC-V routine 'rsqrt'"):
+        em.riscv("rsqrt", 1, 0, 0)
+
+
 def test_shared_pieces_emit_no_riscv():
     plan = plan_hybrid(TP4, ARCH, tp=4, pp=1, context=64)
     layout = build_layout(TP4, plan, ARCH)

@@ -92,6 +92,8 @@ DELETED_FIELDS = {
     "instruction_buffer_B": 2 * 1024 * 1024, "n_accumulators": 32,
     "n_reduction_trees": 32, "n_exp_units": 32, "cxl.host_link_lanes": 16,
     "pu_clock_Hz": 1e9,
+    "timing.rv_cycles": {"recip": 20, "rsqrt": 24, "rope_pack": 2,
+                         "rope_unpack": 2},
 }
 
 

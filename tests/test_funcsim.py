@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from cxlpim.config import CONFIGS_DIR, ArchConfig, ModelSpec, load_config
-from cxlpim.isa import make_instruction, validate_trace
+from cxlpim.isa import (RV_ROUTINES, make_instruction,
+                        validate_trace)
 from cxlpim.mapper import plan_hybrid, plan_pipeline
 from cxlpim import compiler as C
 from cxlpim import funcsim as F
@@ -421,6 +422,27 @@ def test_send_to_unknown_device_rejected():
     img.write_slots(0, 5, np.ones(16))
     with pytest.raises(SimError, match="no trace"):
         run_trace({0: [make_instruction("SEND_CXL", 9, 5, 5)]}, img)
+
+
+def test_riscv_with_unknown_pc_rejected():
+    with pytest.raises(SimError, match="PC 5 names no routine"):
+        run_trace({0: [make_instruction("RISCV", 1, 5, 0, 0)]},
+                  MemoryImage(ARCH, strict=False))
+
+
+def test_routine_table_is_what_the_compiler_emits_and_the_interpreter_runs():
+    # a priced or interpreted routine the compiler never emits is dead
+    toy, _ = load_config(CONFIGS_DIR / "toy.json")
+    plans = [(toy, plan_pipeline(toy, ARCH, toy.max_context, n_devices=1)),
+             (toy, plan_pipeline(toy, ARCH, toy.max_context, n_devices=2)),
+             (MID, plan_pipeline(MID, ARCH, MID.max_context, n_devices=1)),
+             (TP4, plan_hybrid(TP4, ARCH, tp=4, pp=1, context=64))]
+    emitted = {kind for model, plan in plans
+               for t in C.compile_token(model, plan, 20)
+               for kind, _ in t.routines.values()}
+    handlers = {name[len("_rv_"):] for name in vars(F._Executor)
+                if name.startswith("_rv_")}
+    assert emitted == set(RV_ROUTINES) == handlers
 
 
 def test_compare_reports():

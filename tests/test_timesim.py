@@ -1,6 +1,4 @@
 import dataclasses
-import math
-import random
 
 import pytest
 
@@ -11,9 +9,8 @@ from cxlpim.compiler import ChannelStats
 from cxlpim.config import (WORD_B, ArchConfig, CxlParams, ModelSpec,
                            TimingParams)
 from cxlpim.timesim import (
-    DramCommand, SimReport, TimingError, bracket_ns, channel_busy_ns,
-    closed_form_gemv_latency, cxl_transfer_time, device_times,
-    gemv_channel_commands, simulate_channel, simulate_system,
+    SimReport, TimingError, bracket_ns, channel_busy_ns, cxl_transfer_time,
+    device_times, simulate_system,
 )
 
 T = TimingParams()
@@ -29,166 +26,109 @@ LLAMA_70B = ModelSpec(name="llama2-70b", n_layers=80, d_model=8192,
                       n_heads=64, n_kv_heads=8, d_head=128, d_ff=28672)
 
 
-def bracket(n_cols, row=0, channel=0):
-    return ([DramCommand("ACTab", channel, row=row)]
-            + [DramCommand("MACab", channel, row=row, col=i)
-               for i in range(n_cols)]
-            + [DramCommand("PREab", channel, row=row)])
+def compiled_gemv(rows, cols, channels=1):
+    """Trace summary of one rows x cols GEMV as the compiler lowers it,
+    its row groups dealt over `channels` channels of device 0."""
+    pl = compiler.TensorPlacement(name="w", device=0,
+                                  channels=tuple(range(channels)),
+                                  rows=rows, cols=cols, base_row=0)
+    sink = compiler.CountSink(0, ARCH)
+    compiler.emit_gemv(compiler.Emitter(sink, ARCH),
+                       [compiler.GemvJob(pl, out_base=1024)], ("SB", 0),
+                       sb_zero=0)
+    return sink.finish()
+
+
+def gemv_ns(rows, cols, channels=1, t=T):
+    """Busy time of the slowest channel of a compiled GEMV."""
+    summary = compiled_gemv(rows, cols, channels)
+    return max(channel_busy_ns(st, t) for st in summary.channels.values())
 
 
 # ---------------------------------------------------------------------------
-# simulate_channel
+# the DRAM rule on compiled GEMVs
 
 def test_single_mac_bracket_is_tras_bound():
-    # PREab waits for tRAS; 18 + max(1, 27-18) + 16 = 43
-    assert simulate_channel(bracket(1), T).finish_ns == 43.0
+    # one 1-column MAC: the precharge waits for tRAS, 18 + max(1, 27-18)
+    # + 16 = 43
+    st = compiled_gemv(16, 16).channels[0]
+    assert dict(st.bracket_hist) == {1: 1}
+    assert bracket_ns(1, T) == 43.0
 
 
 def test_full_row_bracket_is_execution_bound():
-    assert simulate_channel(bracket(64), T).finish_ns == 98.0
+    # one 64-column bracket, 18 + 64 + 16, its 64 Global Buffer loads
+    # and one drain
+    assert gemv_ns(16, 1024) == 98 + 64 + 25
 
 
 def test_empty_stream():
-    assert simulate_channel([], T).finish_ns == 0.0
-
-
-def test_issue_times_auto_scheduled():
-    tl = simulate_channel(bracket(2), T)
-    assert [e.issue_ns for e in tl.events] == [0.0, 18.0, 19.0, 27.0]
-
-
-def test_scheduled_log_passes_validation():
-    tl = simulate_channel(bracket(64), T)
-    again = simulate_channel(tl.events, T)
-    assert again.finish_ns == tl.finish_ns
-
-
-def test_validation_rejects_early_column():
-    cmds = [DramCommand("ACTab", row=0, issue_ns=0.0),
-            DramCommand("MACab", row=0, col=0, issue_ns=10.0)]
-    with pytest.raises(TimingError, match="violates"):
-        simulate_channel(cmds, T)
-
-
-def test_validation_rejects_early_precharge():
-    cmds = [DramCommand("ACTab", row=0, issue_ns=0.0),
-            DramCommand("PREab", row=0, issue_ns=20.0)]
-    with pytest.raises(TimingError, match="violates"):
-        simulate_channel(cmds, T)
-
-
-def test_later_than_earliest_is_legal():
-    cmds = [DramCommand("ACTab", row=0, issue_ns=5.0),
-            DramCommand("MACab", row=0, col=0, issue_ns=40.0),
-            DramCommand("PREab", row=0, issue_ns=50.0)]
-    assert simulate_channel(cmds, T).finish_ns == 66.0
-
-
-def test_mixed_issue_times_rejected():
-    cmds = [DramCommand("ACTab", row=0, issue_ns=0.0),
-            DramCommand("PREab", row=0)]
-    with pytest.raises(TimingError, match="all or none"):
-        simulate_channel(cmds, T)
-
-
-def test_column_without_activate_rejected():
-    with pytest.raises(TimingError, match="no open row"):
-        simulate_channel([DramCommand("MACab", row=0, col=0)], T)
-
-
-def test_activate_while_open_rejected():
-    cmds = [DramCommand("ACTab", row=0), DramCommand("ACTab", row=1)]
-    with pytest.raises(TimingError, match="row is open"):
-        simulate_channel(cmds, T)
-
-
-def test_wrong_row_rejected():
-    cmds = [DramCommand("ACTab", row=0), DramCommand("RD", row=3, col=0)]
-    with pytest.raises(TimingError, match="row 3"):
-        simulate_channel(cmds, T)
-
-
-def test_unknown_kind_rejected():
-    with pytest.raises(TimingError, match="unknown command"):
-        DramCommand("NOP")
-
-
-def test_write_uses_trcdwr():
-    cmds = [DramCommand("ACTab", row=0), DramCommand("WR", row=0, col=0)]
-    tl = simulate_channel(cmds, T)
-    assert tl.events[1].issue_ns == T.tRCDWR_ns
+    assert channel_busy_ns(ChannelStats(), T) == 0.0
 
 
 def test_adding_commands_never_decreases_finish():
-    base = bracket(8)
-    f0 = simulate_channel(base, T).finish_ns
-    f1 = simulate_channel(base + bracket(8, row=1), T).finish_ns
-    assert f1 >= f0
+    st = compiled_gemv(64, 2048, 2).channels[0]
+    base = channel_busy_ns(st, T)
+    for n_cols in (1, 9, 10, 64):
+        more = dataclasses.replace(st, bracket_hist=Counter(st.bracket_hist))
+        more.bracket_hist[n_cols] += 1
+        assert channel_busy_ns(more, T) >= base
 
-
-# ---------------------------------------------------------------------------
-# closed-form GEMV oracle
 
 def test_closed_form_16x8192():
     # 8 DRAM rows of 64 columns: 8 x 98 = 784 ns of bracket time, plus
     # 512 Global Buffer loads and one accumulator drain
-    assert closed_form_gemv_latency(16, 8192, 1, T) == 784 + 512 + 25
+    assert gemv_ns(16, 8192) == 8 * 98 + 512 + 25
 
 
 def test_closed_form_16x16():
-    assert closed_form_gemv_latency(16, 16, 1, T) == 43 + 1 + 25
-
-
-def test_doubling_channels_halves_bracket_term():
-    one = closed_form_gemv_latency(128, 4096, 1, T)
-    two = closed_form_gemv_latency(128, 4096, 2, T)
-    io = 256 * T.tCCDS_ns
-    assert one - io == 2 * (two - io)
-
-
-def test_closed_form_rejects_bad_shapes():
-    with pytest.raises(TimingError):
-        closed_form_gemv_latency(0, 16, 1, T)
-    with pytest.raises(TimingError):
-        closed_form_gemv_latency(16, 16, 0, T)
-
-
-def test_simulator_matches_closed_form_200_random_shapes():
-    rng = random.Random(20240229)
-    for _ in range(200):
-        rows = rng.randrange(1, 700)
-        cols = rng.randrange(1, 5000)
-        channels = rng.randrange(1, 9)
-        groups = math.ceil(rows / 16)
-        per = [groups // channels + (1 if c < groups % channels else 0)
-               for c in range(channels)]
-        sim = max((simulate_channel(gemv_channel_commands(g, cols), T).finish_ns
-                   for g in per if g), default=0.0)
-        assert sim == closed_form_gemv_latency(rows, cols, channels, T), \
-            (rows, cols, channels)
-
-
-def test_latency_monotone_in_every_timing_parameter():
-    base = closed_form_gemv_latency(64, 2048, 2, T)
-    for name in ("tRCDRD_ns", "tRAS_ns", "tCL_ns", "tCCDS_ns", "tRP_ns"):
-        bumped = dataclasses.replace(T, **{name: getattr(T, name) + 4})
-        assert closed_form_gemv_latency(64, 2048, 2, bumped) >= base
-
-
-def test_refresh_inflates_latency():
-    on = dataclasses.replace(T, refresh_enabled=True)
-    assert (closed_form_gemv_latency(16, 1024, 1, on)
-            > closed_form_gemv_latency(16, 1024, 1, T))
-    assert (simulate_channel(gemv_channel_commands(1, 1024), on).finish_ns
-            == closed_form_gemv_latency(16, 1024, 1, on))
+    assert gemv_ns(16, 16) == 43 + 1 + 25
 
 
 def test_channel_busy_matches_closed_form():
     # 32x2048 on one channel: 2 groups x 2 row tiles, 128 buffer loads,
     # 2 accumulator drains
-    st = ChannelStats(wr_gb=128, rd_mac=2)
-    st.bracket_hist[64] = 4
-    assert channel_busy_ns(st, T) == closed_form_gemv_latency(32, 2048, 1, T)
+    assert gemv_ns(32, 2048) == 4 * 98 + 128 + 2 * 25
+
+
+def test_packed_rows_share_one_bracket():
+    # 624x18 on 8 channels: 39 row groups of 2 slots each, 5 on
+    # channels 0-6. A 2-slot tile packs 32 groups per DRAM row, so a
+    # channel's 5 MACs run in one row: one bracket of 10 columns,
+    # 18 + max(10, 9) + 16 = 44. The Global Buffer holds 5 copies of
+    # the vector (5 x 2 loads) and 5 groups drain: 10 + 44 + 5 x 25
+    assert gemv_ns(624, 18, 8) == 10 + 44 + 125
+
+
+def test_register_batches_restream_the_input():
+    # 528x1860 on one channel: 117 slots in tiles of 64 and 53, 33 row
+    # groups. 32 registers take groups 0-31, then group 32 alone, and
+    # each batch loads the whole vector: 2 x 117 loads. Every group
+    # holds one row per tile: 33 brackets of 18 + 64 + 16 = 98 and 33
+    # of 18 + 53 + 16 = 87. 33 drains: 234 + 3234 + 2871 + 825
+    assert gemv_ns(528, 1860) == 2 * 117 + 33 * 98 + 33 * 87 + 33 * 25
+
+
+def test_doubling_channels_halves_bracket_term():
+    # 128x4096: 8 row groups; both channels load the whole vector
+    one = gemv_ns(128, 4096, 1)
+    two = gemv_ns(128, 4096, 2)
+    io = 256 * T.tCCDS_ns
+    assert one - io == 2 * (two - io)
+
+
+def test_latency_monotone_in_every_timing_parameter():
+    base = gemv_ns(64, 2048, 2)
+    for name in ("tRCDRD_ns", "tRAS_ns", "tCL_ns", "tCCDS_ns", "tRP_ns"):
+        bumped = dataclasses.replace(T, **{name: getattr(T, name) + 4})
+        assert gemv_ns(64, 2048, 2, bumped) >= base
+
+
+def test_refresh_inflates_latency():
+    on = dataclasses.replace(T, refresh_enabled=True)
+    assert gemv_ns(16, 1024, t=on) == pytest.approx(
+        gemv_ns(16, 1024) * (1 + T.tRFC_ns / T.tREFI_ns), rel=1e-12)
+    assert gemv_ns(16, 1024, t=on) > gemv_ns(16, 1024)
 
 
 def test_channel_busy_ignores_histogram_order():
