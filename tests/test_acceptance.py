@@ -132,7 +132,7 @@ def _compiled_gemv(rows, cols, channels):
     return sink.finish(), sink.instructions
 
 
-def test_channel_busy_equals_bracket_rule_on_compiled_gemvs():
+def test_channel_simulator_equals_closed_form_oracle():
     rng = random.Random(20240229)
     for _ in range(200):
         channels = rng.randrange(1, 9)

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -6,7 +7,7 @@ from collections import Counter
 
 from cxlpim import compiler, isa, mapper, timesim
 from cxlpim.compiler import ChannelStats
-from cxlpim.config import (WORD_B, ArchConfig, CxlParams, ModelSpec,
+from cxlpim.config import (REGS, WORD_B, ArchConfig, CxlParams, ModelSpec,
                            TimingParams)
 from cxlpim.timesim import (
     SimReport, TimingError, bracket_ns, channel_busy_ns, cxl_transfer_time,
@@ -89,6 +90,32 @@ def test_channel_busy_matches_closed_form():
     # 32x2048 on one channel: 2 groups x 2 row tiles, 128 buffer loads,
     # 2 accumulator drains
     assert gemv_ns(32, 2048) == 4 * 98 + 128 + 2 * 25
+
+
+def test_simulator_matches_closed_form_200_random_shapes():
+    # A GEMV wider than one DRAM row has tiles of 64 slots and a ragged
+    # last one, and one row group per DRAM row in each tile. Group j
+    # lives on channel ordinal j % channels; a channel holding g groups
+    # runs g brackets per tile, drains g accumulators and loads the
+    # whole vector once per batch of up to REGS groups.
+    rng = random.Random(20240229)
+    for _ in range(200):
+        channels = rng.randrange(1, 9)
+        rows = (rng.randrange(1, 1100) if channels == 1
+                else 16 * rng.randrange(1, 69))
+        cols = rng.randrange(1025, 6000)
+        slots = -(-cols // 16)
+        tiles = [64] * (slots // 64) + ([slots % 64] if slots % 64 else [])
+        groups = -(-rows // 16)
+        want = {}
+        for k in range(min(channels, groups)):
+            g = len(range(k, groups, channels))
+            want[k] = (g * sum(18 + max(s, 9) + 16 for s in tiles)
+                       + -(-g // REGS) * slots + g * 25)
+        summary = compiled_gemv(rows, cols, channels)
+        got = {ch: channel_busy_ns(st, T)
+               for ch, st in summary.channels.items()}
+        assert got == want, (rows, cols, channels)
 
 
 def test_packed_rows_share_one_bracket():
