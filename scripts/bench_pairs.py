@@ -9,7 +9,9 @@ Each checkout runs its own `perfbench/run.py` in a fresh process, one
 run at a time. Pair i runs seed i on both checkouts, the parent first on
 even pairs and the change first on odd ones. The script refuses to run
 if `perfbench/` or `BENCHMARK.json` differ between the checkouts, since
-the two sides would then not measure the same thing.
+the two sides would then not measure the same thing, and if the parent
+is not the top of a git checkout, since its commit could not be
+recorded.
 
 For each workload and metric the output holds the medians and quartiles
 of both sides and the number of pairs the change wins (by the metric's
@@ -72,9 +74,17 @@ def _bench_files(root: Path) -> dict:
 
 
 def _revision(root: Path) -> str:
-    done = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
+    """The commit checked out at `root`, which must be the top of a git
+    checkout (not a copy inside another one)."""
+    done = subprocess.run(["git", "-C", str(root), "rev-parse",
+                           "--show-toplevel", "HEAD"],
                           capture_output=True, text=True)
-    return done.stdout.strip() if done.returncode == 0 else str(root)
+    lines = done.stdout.splitlines()
+    if (done.returncode or len(lines) != 2
+            or Path(lines[0]).resolve() != root.resolve()):
+        raise SystemExit(f"error: {root} is not a git checkout; clone the "
+                         "revision to compare so its commit is recorded")
+    return lines[1]
 
 
 def _worst_unattributed(trace_path: Path) -> float:
@@ -158,6 +168,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
+    revision = _revision(parent)
     pairs = []
     for workload in workloads:
         for i, seed in enumerate(_seeds(args.seeds)):
@@ -178,7 +189,7 @@ def main(argv=None) -> int:
                    f"--seconds {args.seconds:g} --trace T",
         "machine": f"{platform.machine()}, Python "
                    f"{platform.python_version()}, one run at a time",
-        "parent": _revision(parent),
+        "parent": revision,
     })
     summary = {w: _summary([p for p in pairs if p["workload"] == w], better)
                for w in workloads}

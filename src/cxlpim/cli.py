@@ -80,6 +80,11 @@ def _build_plan(model: ModelSpec, arch: ArchConfig, strategy: str,
     if s == "pp":
         return mapper.plan_pipeline(model, arch, context, n_devices=devices)
     if s == "tp":
+        if devices is not None and devices != arch.n_devices:
+            raise CliError(
+                f"strategy 'tp' spans all arch.n_devices ({arch.n_devices}) "
+                f"devices, not --devices {devices}; use --set "
+                f"arch.n_devices={devices}")
         return mapper.plan_tensor(model, arch, context)
     if s == "hybrid":
         return mapper.plan_hybrid(model, arch, tp=tp, pp=pp, context=context)
@@ -263,8 +268,10 @@ def _cmd_verify(args) -> int:
             "use a desk-scale model (e.g. the shipped 'toy')")
     pos = args.pos
     compiler.check_position(model, pos)
+    # a pipeline verifies on one device unless --devices says otherwise
+    default = None if args.strategy.lower() == "tp" else 1
     plan = _build_plan(model, arch, args.strategy, args.tp, args.pp,
-                       args.devices or 1, model.max_context)
+                       args.devices or default, model.max_context)
     layout = compiler.build_layout(model, plan, arch)
     rng = np.random.default_rng(args.seed)
     weights, ks, vs = [], [], []

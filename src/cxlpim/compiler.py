@@ -30,12 +30,13 @@ Buffer extents of its runs.
 A block lowers as three segments: before_core (RMSNorm, QKV), the
 attention core (RoPE, KV append, per-head attention) and after_core
 (O projection and residual, RMSNorm, FFN). Only the core reads the
-token position. compile_token lowers every block whole into ListSinks.
-block_summaries, the counting path, caches the two position-invariant
-segments per layout and structure class as unfinished CountSinks and
-composes them with the core lowered at each position; that is exact
-because CountSink keeps each channel's first and last DRAM-row bracket
-open until finish().
+token position. The module has two entry points, and both run these
+segments. compile_token lowers every block whole into ListSinks for the
+functional simulator. block_summaries, the counting path that timing
+and energy read, caches the two position-invariant segments per layout
+and structure class as unfinished CountSinks and composes them with the
+core lowered at each position; that is exact because CountSink keeps
+each channel's first and last DRAM-row bracket open until finish().
 
 Inside the core, query heads that share a KV head (grouped-query
 attention) differ only in the Shared Buffer slots they read q from and
@@ -785,7 +786,6 @@ def _chmask(channels) -> int:
 class GemvJob:
     placement: TensorPlacement
     out_base: int        # result slot for row group j is out_base + j
-    af: Optional[int] = None
 
 
 def emit_gemv(em: Emitter, jobs: list[GemvJob], vec_src: tuple,
@@ -833,9 +833,6 @@ def emit_gemv(em: Emitter, jobs: list[GemvJob], vec_src: tuple,
                         em.i("WR_BIAS", 1 << c, sb_zero)
                     em.i("MAC_ABK", 1 << c, s, row, co, idx)
         for c in live:
-            for idx, (job, j) in enumerate(batch[c]):
-                if job.af is not None:
-                    em.i("AF", 1 << c, job.af, idx)
             for idx, (job, j) in enumerate(batch[c]):
                 em.i("RD_MAC", 1 << c, job.out_base + j, idx)
 
@@ -898,7 +895,7 @@ class BlockLowering:
 
     def _gemv(self, dev: int, jobs: list[GemvJob], vec_src: tuple) -> None:
         zero = self.sb.zero
-        key = ("gemv", tuple((j.placement.geometry, j.out_base, j.af)
+        key = ("gemv", tuple((j.placement.geometry, j.out_base)
                              for j in jobs), vec_src, zero)
         self._shared(dev, key, lambda em: emit_gemv(em, jobs, vec_src, zero))
 
@@ -1052,11 +1049,6 @@ class BlockLowering:
             for g, dst in enumerate((sb.tmp, sb.tmp + dh)):
                 em.i("RD_SBK", ch, dh, BANK_GROUPS * g + 2, row, co, dst)
             em.riscv("rope_combine", dh, x, sb.tmp, params=(dh,))
-
-    def attention(self) -> None:
-        self.qkv()
-        self.attention_core()
-        self.o_proj()
 
     def qkv(self) -> None:
         """Opens the attention operator: the fused Q/K/V projections."""
@@ -1314,79 +1306,6 @@ class BlockLowering:
 
 
 # ---------------------------------------------------------------------------
-# standalone operator entry points
-
-class InstructionList(list):
-    """Instruction list that also carries the RISC-V routine table
-    (pc -> (kind, params)) referenced by its RISCV instructions."""
-    routines: dict = {}
-
-
-def _finish_list(sink: ListSink, em: Emitter) -> "InstructionList":
-    sink.finish()
-    out = InstructionList(sink.instructions)
-    out.routines = em.routines
-    return out
-
-
-def lower_gemv(rows: int, cols: int, placement: TensorPlacement,
-               vec_slot: int, out_base: int = 1024,
-               cfg: Optional[ArchConfig] = None,
-               sb_zero: int = 0) -> list[Instruction]:
-    cfg = cfg or ArchConfig()
-    if (rows, cols) != (placement.rows, placement.cols):
-        raise CompileError(
-            f"shape ({rows}, {cols}) does not match placement "
-            f"({placement.rows}, {placement.cols})")
-    sink = ListSink(placement.device, cfg)
-    em = Emitter(sink, cfg)
-    emit_gemv(em, [GemvJob(placement, out_base)], ("SB", vec_slot), sb_zero)
-    return _finish_list(sink, em)
-
-
-def _single_block_lowering(layout: Layout, block: int, position: int):
-    bl = layout.blocks[block]
-    sinks = {d: ListSink(d, layout.arch) for d in bl.tp_group}
-    ems = {d: Emitter(sinks[d], layout.arch) for d in bl.tp_group}
-    return BlockLowering(layout, bl, position, ems), sinks
-
-
-def lower_rmsnorm(d: int, layout: Layout, block: int = 0,
-                  weights: str = "w_rms1") -> list[Instruction]:
-    if d % LANE:
-        raise CompileError(f"d={d} not divisible by lane width {LANE}")
-    if d != layout.model.d_model:
-        raise CompileError("d does not match the laid-out model")
-    low, sinks = _single_block_lowering(layout, block, 0)
-    low.rmsnorm(weights)
-    return _finish_list(sinks[low.master], low.em[low.master])
-
-
-def lower_rope(d_head: int, position: int, layout: Layout, block: int = 0,
-               base_slot: Optional[int] = None,
-               n_heads: int = 1) -> list[Instruction]:
-    if d_head % 2:
-        raise CompileError("d_head must be even")
-    if d_head != layout.model.d_head:
-        raise CompileError("d_head does not match the laid-out model")
-    low, sinks = _single_block_lowering(layout, block, position)
-    low.rope(layout.sb.qkv if base_slot is None else base_slot, n_heads)
-    return _finish_list(sinks[low.master], low.em[low.master])
-
-
-def lower_attention(model: ModelSpec, context_len: int, layout: Layout,
-                    block: int = 0) -> list[Instruction]:
-    if context_len < 1:
-        raise CompileError("context_len must be >= 1")
-    if context_len > model.max_context:
-        raise CompileError(f"context_len {context_len} exceeds reserved "
-                           f"cache rows ({model.max_context} positions)")
-    low, sinks = _single_block_lowering(layout, block, context_len - 1)
-    low.attention()
-    return _finish_list(sinks[low.master], low.em[low.master])
-
-
-# ---------------------------------------------------------------------------
 # whole-token compilation
 
 def _replica_chains(layout: Layout) -> list[list[BlockLayout]]:
@@ -1417,23 +1336,22 @@ def check_position(model: ModelSpec, token_pos: int) -> None:
 
 
 def compile_token(model: ModelSpec, plan: MappingPlan, token_pos: int,
-                  phase: str = "DECODE", arch: Optional[ArchConfig] = None,
                   layout: Optional[Layout] = None) -> list[DeviceTrace]:
-    """Lower one full token step to per-device instruction traces.
+    """Lower one full token step to per-device instruction traces, for
+    the functional simulator and trace validation.
 
-    Prefill and decode use the identical per-token path; `phase` is
-    carried for reporting only. Every block is lowered whole, segment
-    after segment, into one ListSink per device. Nothing is cached here:
-    the segment cache in `layout.invariant_segments` belongs to
-    `block_summaries`, the counting path that timing and energy read,
-    and it holds only because `BlockLowering.attention_core` is the one
-    segment that reads `token_pos`.
+    Prefill and decode tokens lower alike; only `token_pos` differs.
+    Every block is lowered whole, segment after segment, into one
+    ListSink per device, on `layout` (built for the default ArchConfig
+    when not given). Nothing is cached here: the segment cache in
+    `layout.invariant_segments` belongs to `block_summaries`, the
+    counting path that timing and energy read, and it holds only
+    because `BlockLowering.attention_core` is the one segment that
+    reads `token_pos`.
     """
-    if phase not in ("PREFILL", "DECODE"):
-        raise CompileError(f"unknown phase {phase!r}")
-    arch = arch or (layout.arch if layout else ArchConfig())
     check_position(model, token_pos)
-    layout = layout or build_layout(model, plan, arch)
+    layout = layout or build_layout(model, plan, ArchConfig())
+    arch = layout.arch
     devices = sorted({d for a in plan.block_assignments
                       for d in a.devices})
     sinks = {d: ListSink(d, arch) for d in devices}

@@ -67,6 +67,11 @@ class ModelSpec:
             v = getattr(self, f.name)
             if f.name != "name" and v <= 0:
                 raise ConfigError(f"{f.name} must be positive, got {v}")
+        if self.weight_precision_B != 2:
+            raise ConfigError(
+                f"weight_precision_B must be 2 (BF16, the only format the "
+                f"compiler and interpreter handle), got "
+                f"{self.weight_precision_B}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,6 @@ class TimingParams:
     tRCDRD_ns: float = 18.0
     tRAS_ns: float = 27.0
     tCL_ns: float = 25.0
-    tRCDWR_ns: float = 14.0
     tCCDS_ns: float = 1.0
     tRP_ns: float = 16.0
     # refresh is off by default; enable for sensitivity studies only
@@ -88,8 +92,8 @@ class TimingParams:
     def __post_init__(self) -> None:
         if self.tRAS_ns < self.tRCDRD_ns:
             raise ConfigError("tRAS must be >= tRCDRD")
-        for name in ("tRCDRD_ns", "tRAS_ns", "tCL_ns", "tRCDWR_ns",
-                     "tCCDS_ns", "tRP_ns", "dispatch_ns"):
+        for name in ("tRCDRD_ns", "tRAS_ns", "tCL_ns", "tCCDS_ns",
+                     "tRP_ns", "dispatch_ns"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if self.tREFI_ns <= 0:
@@ -118,7 +122,6 @@ class CxlParams:
 
 @dataclass(frozen=True)
 class EnergyParams:
-    name: str = "c-die-default"
     # per bank, per ACTab+PREab pair
     e_act_pre_pJ: float = 5127.0
     # per bank, per 256-bit MAC column
@@ -134,8 +137,6 @@ class EnergyParams:
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
-            if f.name == "name":
-                continue
             if getattr(self, f.name) < 0:
                 raise ConfigError(f"{f.name} must be >= 0")
 
@@ -317,10 +318,3 @@ def _set_path(obj, parts: list[str], value):
                               f"got {value!r}") from None
     return dataclasses.replace(obj, **{name: value})
 
-
-def load_energy_params(name_or_path: str) -> EnergyParams:
-    p = Path(name_or_path)
-    if not p.exists():
-        p = PARAMS_DIR / f"{name_or_path.replace('-', '_')}.json"
-    data = json.loads(p.read_text())
-    return _build(EnergyParams, data, str(p))

@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import (BANKS, PARAMS_DIR, WORD_B, ArchConfig, CostParams,
-                     EnergyParams, load_energy_params)
+from .config import BANKS, PARAMS_DIR, ArchConfig, CostParams, EnergyParams
 
 
 class EnergyError(ValueError):
@@ -35,10 +34,6 @@ class EnergyError(ValueError):
 
 class CostError(ValueError):
     pass
-
-
-#: the shipped default energy parameter set
-DEFAULT_PARAMS = "cdie_default"
 
 
 def load_reference_figures(path=None) -> dict:
@@ -102,11 +97,6 @@ class EnergyReport:
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
-
-def mac_energy_per_bit_pJ(e: EnergyParams) -> float:
-    """Energy of one bank MAC column divided by the bits it consumes."""
-    return e.e_mac_col_pJ / (8 * WORD_B)
 
 
 def ctrl_static_W_per_device(e: EnergyParams, arch: ArchConfig) -> float:

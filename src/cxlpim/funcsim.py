@@ -682,14 +682,14 @@ def run_trace(traces, image: MemoryImage,
     """Execute traces to completion over the image (mutated in place).
 
     `traces` is a list of DeviceTrace or a {device: [Instruction]}
-    mapping. Devices run round-robin until blocked on an empty receive
+    mapping of plain instruction lists, which carry no RISC-V routine
+    table. Devices run round-robin until blocked on an empty receive
     queue; a full round without progress is a deadlock.
     """
     programs = {}
     if isinstance(traces, dict):
         for dev, insts in traces.items():
-            programs[dev] = _DevProgram(dev, list(insts),
-                                        getattr(insts, "routines", {}))
+            programs[dev] = _DevProgram(dev, list(insts), {})
     else:
         for t in traces:
             programs[t.device] = _DevProgram(t.device, t.instructions,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Optional
 
@@ -258,16 +258,10 @@ def plan_scaled(model: ModelSpec, arch: ArchConfig, n_devices: int,
 class CommVolume:
     per_token_B: int
     per_block_B: float        # average over blocks of one replica
-    by_block: dict = field(hash=False, default_factory=dict)
 
 
 def comm_volume(plan: MappingPlan, model: ModelSpec) -> CommVolume:
-    by_block: dict[int, int] = {}
-    total = 0
-    for ev in plan.comm_schedule:
-        by_block[ev.block] = by_block.get(ev.block, 0) + ev.payload_B
-        total += ev.payload_B
+    total = sum(ev.payload_B for ev in plan.comm_schedule)
     n_blocks = model.n_layers * plan.dp_replicas
     return CommVolume(per_token_B=total,
-                      per_block_B=total / n_blocks if n_blocks else 0.0,
-                      by_block=by_block)
+                      per_block_B=total / n_blocks if n_blocks else 0.0)

@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from cxlpim import cli, compiler, energycost, funcsim, isa, mapper, timesim
-from cxlpim.config import ArchConfig, ModelSpec, TimingParams
+from cxlpim.config import WORD_B, ArchConfig, ModelSpec, TimingParams
+
+from lowering import lower
 
 ARCH = ArchConfig()
 T = TimingParams()
@@ -55,8 +57,9 @@ def test_toy_model_matches_float_reference_within_budget():
     funcsim.load_gemv_weights(img, pl, w)
     img.write_slots(0, 0, np.zeros(16))    # the shared zero pad
     img.write_slots(0, 100, x)
-    trace = compiler.lower_gemv(rows, cols, pl, vec_slot=100, out_base=1024)
-    funcsim.run_trace({0: trace}, img)
+    trace = lower(lambda em: compiler.emit_gemv(
+        em, [compiler.GemvJob(pl, 1024)], ("SB", 100), 0))
+    funcsim.run_trace([trace], img)
     got = img.read_slots(0, 1024, rows)
     assert np.array_equal(got, funcsim.gemv_reference(w, x))
 
@@ -222,7 +225,8 @@ def steady_70b():
 @pytest.mark.slow
 def test_energy_calibration(steady_70b):
     _, er, _ = steady_70b
-    assert within(energycost.mac_energy_per_bit_pJ(ARCH.energy), 0.6, 0.10)
+    # one bank MAC column's energy over the bits it consumes
+    assert within(ARCH.energy.e_mac_col_pJ / (8 * WORD_B), 0.6, 0.10)
     assert within(er.device_avg_W, 32.4, 0.10)
     assert abs(er.device_fractions["mac"] - 0.545) <= 0.03
     assert abs(er.device_fractions["act_pre"] - 0.302) <= 0.03

@@ -79,6 +79,21 @@ def test_verify_two_device_pipeline_passes(capsys):
     # an explicit zero context is not the default context either
     ["compile", "--model", "toy", "--context", "0", "--out", "out"],
     ["simulate", "--model", "toy", "--context", "0", "--out", "out"],
+    # ConfigError at load: weights are BF16, the only format the
+    # compiler and the interpreter handle
+    ["simulate", "--model", "llama2_7b", "--devices", "8", "--set",
+     "model.weight_precision_B=1", "--out", "out"],
+    # ConfigError at load: fields that priced nothing are gone
+    ["simulate", "--model", "toy", "--set", "arch.timing.tRCDWR_ns=14",
+     "--out", "out"],
+    ["simulate", "--model", "toy", "--set", "arch.energy.name=x",
+     "--out", "out"],
+    # CliError: tensor parallelism spans arch.n_devices, so a --devices
+    # that differs is rejected, not ignored
+    ["verify", "--model", "mid", "--strategy", "tp", "--devices", "2",
+     "--pos", "5"],
+    ["simulate", "--model", "llama2_70b", "--strategy", "tp", "--devices",
+     "8", "--out", "out"],
 ])
 def test_lowering_errors_exit_2_with_one_line(argv, capsys, tmp_path,
                                               monkeypatch):

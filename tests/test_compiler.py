@@ -3,15 +3,18 @@ import pickle
 
 import pytest
 
-from cxlpim.config import WORD_B, ArchConfig, ModelSpec
+from cxlpim.config import (CONFIGS_DIR, ROW_SLOTS, WORD_B, ArchConfig,
+                           ModelSpec, load_config)
 from cxlpim.isa import IsaError, make_instruction, validate_trace
 from cxlpim.mapper import plan_hybrid, plan_pipeline, plan_tensor
 from cxlpim import compiler
 from cxlpim.compiler import (
     CompileError, CountSink, Emitter, GemvJob, ListSink, TensorPlacement,
-    build_layout, compile_token, emit_gemv, lower_attention, lower_gemv,
-    lower_rmsnorm, lower_rope,
+    build_layout, compile_token, emit_gemv,
 )
+from cxlpim.timesim import _token_profile, simulate_system
+
+from lowering import lower
 
 ARCH = ArchConfig()
 
@@ -35,6 +38,13 @@ def gemv_placement(rows, cols, channels=(0,), base_row=0):
                            rows=rows, cols=cols, base_row=base_row)
 
 
+def gemv(rows, cols, vec_slot, out_base=1024):
+    """The instructions of one GEMV on channel 0 of device 0."""
+    job = GemvJob(gemv_placement(rows, cols), out_base)
+    return lower(lambda em: emit_gemv(em, [job], ("SB", vec_slot),
+                                      0)).instructions
+
+
 def _emit(sink, inst, riscv_kind=None):
     """Emit a materialized instruction into `sink` as the lowering does."""
     sink.emit(inst.opcode, inst.operands, riscv_kind=riscv_kind,
@@ -48,7 +58,7 @@ def _emit(sink, inst, riscv_kind=None):
 def test_gemv_single_row_group_full_row():
     # 16 rows x 1024 cols on one channel: the whole vector fills one
     # 64-slot Global Buffer tile and each bank holds one full DRAM row
-    insts = lower_gemv(16, 1024, gemv_placement(16, 1024), vec_slot=32)
+    insts = gemv(16, 1024, vec_slot=32)
     assert [i.opcode for i in insts] == [
         "WR_GB", "WR_BIAS", "MAC_ABK", "RD_MAC"]
     wr_gb, bias, mac, rd = insts
@@ -59,13 +69,13 @@ def test_gemv_single_row_group_full_row():
 
 
 def test_gemv_minimal_tile():
-    insts = lower_gemv(16, 16, gemv_placement(16, 16), vec_slot=0)
+    insts = gemv(16, 16, vec_slot=0)
     macs = [i for i in insts if i.opcode == "MAC_ABK"]
     assert len(macs) == 1 and macs[0].OPsize == 1
 
 
 def test_gemv_two_row_groups_distinct_regids():
-    insts = lower_gemv(32, 1024, gemv_placement(32, 1024), vec_slot=32)
+    insts = gemv(32, 1024, vec_slot=32)
     macs = [i for i in insts if i.opcode == "MAC_ABK"]
     rds = [i for i in insts if i.opcode == "RD_MAC"]
     assert len(macs) == len(rds) == 2
@@ -79,7 +89,7 @@ def test_gemv_two_row_groups_distinct_regids():
 def test_gemv_register_spill():
     # 40 row groups on one channel exceed the 32 accumulation registers,
     # so the vector is re-streamed for a second register batch
-    insts = lower_gemv(640, 1024, gemv_placement(640, 1024), vec_slot=32)
+    insts = gemv(640, 1024, vec_slot=32)
     assert sum(1 for i in insts if i.opcode == "WR_GB") == 2
     macs = [i for i in insts if i.opcode == "MAC_ABK"]
     assert [m.Regid for m in macs] == list(range(32)) + list(range(8))
@@ -88,7 +98,7 @@ def test_gemv_register_spill():
 def test_gemv_multi_tile_input():
     # 2048 cols = two Global Buffer tiles; accumulators carry across
     # tiles so WR_BIAS appears once per row group
-    insts = lower_gemv(16, 2048, gemv_placement(16, 2048), vec_slot=0)
+    insts = gemv(16, 2048, vec_slot=0)
     assert sum(1 for i in insts if i.opcode == "WR_GB") == 2
     assert sum(1 for i in insts if i.opcode == "WR_BIAS") == 1
     assert sum(1 for i in insts if i.opcode == "MAC_ABK") == 2
@@ -98,7 +108,7 @@ def test_gemv_multi_tile_input():
 def test_gemv_packed_rows_replicate_input():
     # two 8-slot runs share a DRAM row: the Global Buffer holds the
     # vector twice so the second run reads its copy at CO=8
-    insts = lower_gemv(32, 128, gemv_placement(32, 128), vec_slot=0)
+    insts = gemv(32, 128, vec_slot=0)
     wr = [i for i in insts if i.opcode == "WR_GB"]
     assert [w.CO for w in wr] == [0, 8]
     macs = [i for i in insts if i.opcode == "MAC_ABK"]
@@ -106,8 +116,13 @@ def test_gemv_packed_rows_replicate_input():
 
 
 def test_gemv_shape_mismatch_rejected():
-    with pytest.raises(CompileError, match="does not match placement"):
-        lower_gemv(32, 1024, gemv_placement(16, 1024), vec_slot=0)
+    # fused jobs stream one input: a 2048-wide matrix cannot share the
+    # Global Buffer tiles of a 1024-wide one
+    jobs = [GemvJob(gemv_placement(16, 1024), 1024),
+            GemvJob(gemv_placement(16, 2048), 1040)]
+    with pytest.raises(CompileError, match="fused GEMV jobs must share "
+                                           "layout"):
+        lower(lambda em: emit_gemv(em, jobs, ("SB", 0), 0))
 
 
 def test_gemv_bank_streamed_input_cannot_pack():
@@ -147,37 +162,54 @@ def toy_layout():
 
 def test_rmsnorm_uses_neighbor_bank_dot(toy_layout):
     _, layout = toy_layout
-    insts = lower_rmsnorm(TOY.d_model, layout)
+    insts = lower(lambda low: low.rmsnorm("w_rms1"), layout).instructions
     macs = [i for i in insts if i.opcode == "MAC_ABK"]
     assert macs and macs[0].source_select == "BANK"
     assert any(i.opcode == "RED" for i in insts)
     assert any(i.opcode == "EW_MUL" for i in insts)
 
 
-def test_rmsnorm_bad_width_rejected(toy_layout):
-    _, layout = toy_layout
-    with pytest.raises(CompileError, match="lane width"):
-        lower_rmsnorm(250, layout)
+def test_rmsnorm_bad_width_rejected():
+    # a hidden width that is not whole 16-row groups cannot be laid out
+    model = dataclasses.replace(TOY, d_model=248, d_head=62)
+    plan = plan_pipeline(model, ARCH, model.max_context, n_devices=1)
+    with pytest.raises(CompileError,
+                       match="rows not divisible .* in 16-row groups"):
+        build_layout(model, plan, ARCH)
 
 
 def test_rope_complex_groups(toy_layout):
     _, layout = toy_layout
-    insts = lower_rope(TOY.d_head, position=5, layout=layout)
+    insts = lower(lambda low: low.rope(layout.sb.qkv, 1), layout,
+                  position=5).instructions
     # 64-wide head = 32 complex pairs = 4 Shared Buffer slots per bank
     ew = [i for i in insts if i.opcode == "EW_MUL"]
     assert len(ew) == 1 and ew[0].OPsize == 4
     assert any(i.opcode == "RISCV" for i in insts)
 
 
-def test_rope_odd_head_rejected(toy_layout):
-    _, layout = toy_layout
-    with pytest.raises(CompileError, match="even"):
-        lower_rope(63, position=0, layout=layout)
+def test_rope_odd_head_rejected():
+    # an odd head width has no complex pairs and is not whole row groups
+    model = dataclasses.replace(TOY, d_model=252, d_head=63)
+    plan = plan_pipeline(model, ARCH, model.max_context, n_devices=1)
+    with pytest.raises(CompileError,
+                       match="rows not divisible .* in 16-row groups"):
+        build_layout(model, plan, ARCH)
+
+
+def attention(layout, context_len):
+    """The Q/K/V projections, attention core and O projection of block
+    0 for a context of `context_len` tokens."""
+    def emit(low):
+        low.qkv()
+        low.attention_core()
+        low.o_proj()
+    return lower(emit, layout, position=context_len - 1).instructions
 
 
 def test_attention_first_token(toy_layout):
     _, layout = toy_layout
-    insts = lower_attention(TOY, 1, layout)
+    insts = attention(layout, 1)
     ops = {i.opcode for i in insts}
     assert {"WR_SBK", "WR_ABK", "MAC_ABK", "EXP", "RD_MAC"} <= ops
     # V append lands one lane per dimension slot via WR_ABK
@@ -187,7 +219,7 @@ def test_attention_first_token(toy_layout):
 
 def test_attention_gqa_one_score_pass_per_query_head(toy_layout):
     _, layout = toy_layout
-    insts = lower_attention(TOY, 16, layout)
+    insts = attention(layout, 16)
     exp = [i for i in insts if i.opcode == "EXP"]
     assert len(exp) == TOY.n_heads     # 4 query heads share 1 KV head
     # each head drains its accumulators into its own output slots, right
@@ -204,11 +236,36 @@ def test_attention_gqa_one_score_pass_per_query_head(toy_layout):
 
 
 def test_attention_context_bounds(toy_layout):
-    _, layout = toy_layout
-    with pytest.raises(CompileError, match=">= 1"):
-        lower_attention(TOY, 0, layout)
-    with pytest.raises(CompileError, match="exceeds reserved"):
-        lower_attention(TOY, TOY.max_context + 1, layout)
+    # the last position's K row and V lanes land in the last rows each
+    # KV cache placement reserves, never past them
+    mid, _ = load_config(CONFIGS_DIR / "mid.json")
+    mid_plan = plan_pipeline(mid, ARCH, mid.max_context, n_devices=1)
+    for model, layout in ((TOY, toy_layout[1]),
+                          (mid, build_layout(mid, mid_plan, ARCH))):
+        pos = model.max_context - 1
+        insts = lower(lambda low: low.attention_core(), layout,
+                      position=pos).instructions
+        kvs = layout.blocks[0].kv
+        dh = kvs[0].dh_slots
+        # each KV head appends one K row (WR_SBK), then dh V lanes
+        appends = [k for k, i in enumerate(insts) if i.opcode == "WR_ABK"
+                   and insts[k - 1].opcode == "WR_SBK"]
+        assert len(appends) == len(kvs) == model.n_kv_heads
+        for kv, k in zip(kvs, appends):
+            wk = insts[k - 1]
+            assert wk.Rs == layout.sb.kv_new + kv.kv_head * dh
+            assert wk.CHid == kv.channel
+            assert wk.RO == kv.k_base_row + kv.k_rows_needed() - 1
+            assert wk.CO + wk.OPsize <= ROW_SLOTS
+            vs = insts[k:k + dh]
+            assert all(v.opcode == "WR_ABK" and v.CHid == kv.channel
+                       for v in vs)
+            assert {v.RO - kv.v_base_row for v in vs} == {
+                (g + 1) * kv.v_rows_per_group - 1 for g in range(dh)}
+            assert max(v.RO for v in vs) < kv.v_base_row + kv.v_rows_needed()
+        assert sum(i.opcode == "WR_ABK" for i in insts) == len(kvs) * dh
+        with pytest.raises(CompileError, match="beyond max context"):
+            compiler.check_position(model, model.max_context)
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +383,14 @@ def test_decode_positions_same_structure(toy_layout):
 
 
 def test_prefill_uses_decode_path(toy_layout):
+    # a prefill token is priced as the decode token at its position
     plan, layout = toy_layout
-    a = compile_token(TOY, plan, 3, phase="PREFILL", layout=layout)[0]
-    b = compile_token(TOY, plan, 3, phase="DECODE", layout=layout)[0]
-    assert [i for i in a.instructions] == [i for i in b.instructions]
-    with pytest.raises(CompileError, match="phase"):
-        compile_token(TOY, plan, 3, phase="CHUNKED", layout=layout)
+    rep = simulate_system(TOY, plan, ARCH, prefill_tokens=8,
+                          decode_tokens=4, seq_gap=1, layout=layout)
+    expect = 0.0
+    for pos in range(8):
+        expect += _token_profile(layout, plan, ARCH, pos).token_ns
+    assert rep.prefill_ns == expect
 
 
 def test_position_beyond_context_rejected(toy_layout):
@@ -651,10 +710,10 @@ def test_unknown_riscv_routine_rejected():
 def test_shared_pieces_emit_no_riscv():
     plan = plan_hybrid(TP4, ARCH, tp=4, pp=1, context=64)
     layout = build_layout(TP4, plan, ARCH)
-    low, _ = compiler._single_block_lowering(layout, 0, 0)
     with pytest.raises(AssertionError):
-        low._shared(low.master, ("riscv",),
-                    lambda em: em.riscv("scale", 1, 0, 0))
+        lower(lambda low: low._shared(low.master, ("riscv",),
+                                      lambda em: em.riscv("scale", 1, 0, 0)),
+              layout)
 
 
 def test_row_allocator_spans_channels_from_their_highest_free_row():

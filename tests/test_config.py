@@ -38,7 +38,6 @@ def test_empty_arch_section_takes_defaults(tmp_path):
     assert arch.timing.tRCDRD_ns == 18.0
     assert arch.timing.tRAS_ns == 27.0
     assert arch.timing.tCL_ns == 25.0
-    assert arch.timing.tRCDWR_ns == 14.0
     assert arch.timing.tCCDS_ns == 1.0
     assert arch.timing.tRP_ns == 16.0
     assert arch.n_devices == 32

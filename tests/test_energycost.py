@@ -1,14 +1,16 @@
 """Energy, power, and cost model tests."""
 
 import dataclasses
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from cxlpim import energycost, mapper, timesim
-from cxlpim.config import (BANKS, ArchConfig, CostParams, EnergyParams,
-                           ModelSpec)
+from cxlpim.config import (BANKS, WORD_B, ArchConfig, CostParams,
+                           EnergyParams, ModelSpec)
 
 ARCH = ArchConfig()
 E = ARCH.energy
@@ -28,13 +30,21 @@ def make_counts(**kw):
 
 
 def test_mac_energy_per_bit_near_target():
-    per_bit = energycost.mac_energy_per_bit_pJ(E)
+    # one bank MAC column's energy over the bits it consumes
+    per_bit = E.e_mac_col_pJ / (8 * WORD_B)
     assert abs(per_bit - 0.6) <= 0.06
 
 
 def test_shipped_params_match_dataclass_defaults():
-    shipped = energycost.load_energy_params(energycost.DEFAULT_PARAMS)
-    assert shipped == EnergyParams()
+    """The EnergyParams defaults are what the derivation script derives,
+    as its --check compares."""
+    path = (Path(__file__).resolve().parent.parent / "scripts"
+            / "derive_dram_energy.py")
+    spec = importlib.util.spec_from_file_location("derive_dram_energy", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.derive() == dataclasses.asdict(EnergyParams())
+    assert script.main(["--check"]) == 0
 
 
 def test_idle_second_is_static_power_only():

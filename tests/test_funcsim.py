@@ -17,6 +17,8 @@ from cxlpim.funcsim import (
     run_trace, taylor_exp, tp_groups,
 )
 
+from lowering import lower
+
 ARCH = ArchConfig()
 
 TOY = ModelSpec(name="toy", n_layers=2, d_model=256, n_heads=4,
@@ -53,7 +55,8 @@ def run_gemv(rows, cols, w, x, channels=(0,)):
     load_gemv_weights(img, pl, w)
     img.write_slots(0, 0, np.zeros(16))
     img.write_slots(0, 100, x)
-    run_trace({0: C.lower_gemv(rows, cols, pl, vec_slot=100)}, img)
+    run_trace([lower(lambda em: C.emit_gemv(em, [C.GemvJob(pl, 1024)],
+                                            ("SB", 100), 0))], img)
     return img.read_slots(0, 1024, rows)
 
 
@@ -142,7 +145,7 @@ def test_rmsnorm_of_ones_is_ones(toy_setup):
     w[0]["w_rms1"] = np.ones(TOY.d_model)
     img = prepare_image(layout, w)
     img.write_slots(0, layout.sb.hidden, np.ones(TOY.d_model))
-    run_trace({0: C.lower_rmsnorm(TOY.d_model, layout)}, img)
+    run_trace([lower(lambda low: low.rmsnorm("w_rms1"), layout)], img)
     out = img.read_slots(0, layout.sb.rms, TOY.d_model)
     assert out.tolist() == [1.0] * TOY.d_model
 
@@ -153,7 +156,7 @@ def test_rope_position_zero_is_identity(toy_setup):
     rng = np.random.default_rng(3)
     head = bf16(rng.normal(size=TOY.d_head))
     img.write_slots(0, layout.sb.qkv, head)
-    run_trace({0: C.lower_rope(TOY.d_head, 0, layout)}, img)
+    run_trace([lower(lambda low: low.rope(layout.sb.qkv, 1), layout)], img)
     assert np.array_equal(img.read_slots(0, layout.sb.qkv, TOY.d_head),
                           head)
 
@@ -164,7 +167,8 @@ def test_rope_matches_scalar_formula(toy_setup):
     rng = np.random.default_rng(4)
     head = bf16(rng.normal(size=TOY.d_head))
     img.write_slots(0, layout.sb.qkv, head)
-    run_trace({0: C.lower_rope(TOY.d_head, 17, layout)}, img)
+    run_trace([lower(lambda low: low.rope(layout.sb.qkv, 1), layout,
+                     position=17)], img)
     got = img.read_slots(0, layout.sb.qkv, TOY.d_head)
     assert np.array_equal(got, F._hw_rope(head, 17))
     # plain-formula gap is two BF16 product roundings per element

@@ -4,6 +4,7 @@ per-layer metric BENCHMARK.json lists. A simulator name that
 perfbench wraps or reads, once renamed or deleted, fails here rather
 than in the benchmark."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -26,3 +27,32 @@ def test_perfbench_traced_pass_reports_every_per_layer_metric(workload):
     # "correct" is not asserted: its 3% self-time check is noisy on a
     # loaded machine (see perfbench/run.py, SELF_TIME_TOLERANCE)
     assert set(result["metrics"]) == {m["name"] for m in BENCH["per_layer"]}
+
+
+def test_bench_pairs_records_only_a_git_revision(tmp_path):
+    """bench_pairs.py records the parent's commit, so a parent that is
+    not the top of a git checkout ends the run with one error line."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    plain = tmp_path / "copy"
+    plain.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs._revision(plain)
+    assert str(exc.value).startswith("error: ")
+    assert "\n" not in str(exc.value)
+
+    repo = tmp_path / "clone"
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c",
+           "user.email=t@t"]
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "c"],
+                   check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+    assert bench_pairs._revision(repo) == head
+    # a directory inside the checkout is not a checkout of its own
+    (repo / "sub").mkdir()
+    with pytest.raises(SystemExit):
+        bench_pairs._revision(repo / "sub")

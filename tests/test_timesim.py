@@ -14,6 +14,8 @@ from cxlpim.timesim import (
     device_times, simulate_system,
 )
 
+from lowering import lower
+
 T = TimingParams()
 ARCH = ArchConfig()
 
@@ -281,7 +283,8 @@ def test_gemv_work_conservation():
     # every MAC micro-op is 16 bank-columns x 16 lanes x mul-add
     pl = compiler.TensorPlacement(
         name="w", device=0, channels=(0,), rows=16, cols=1024, base_row=0)
-    insts = compiler.lower_gemv(16, 1024, pl, vec_slot=0, cfg=ARCH)
+    insts = lower(lambda em: compiler.emit_gemv(
+        em, [compiler.GemvJob(pl, 1024)], ("SB", 0), 0)).instructions
     mac = sum(isa.microop_count(i.opcode, i.operands) for i in insts
               if i.opcode == "MAC_ABK")
     assert mac * 16 * 32 == 2 * 16 * 1024
