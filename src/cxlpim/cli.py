@@ -77,14 +77,15 @@ def _build_plan(model: ModelSpec, arch: ArchConfig, strategy: str,
                 tp: int, pp: int, devices: int | None,
                 context: int) -> mapper.MappingPlan:
     s = strategy.lower()
+    if (s in ("tp", "hybrid") and devices is not None
+            and devices != arch.n_devices):
+        raise CliError(
+            f"strategy {s!r} plans over arch.n_devices ({arch.n_devices}) "
+            f"devices, not --devices {devices}; use --set "
+            f"arch.n_devices={devices}")
     if s == "pp":
         return mapper.plan_pipeline(model, arch, context, n_devices=devices)
     if s == "tp":
-        if devices is not None and devices != arch.n_devices:
-            raise CliError(
-                f"strategy 'tp' spans all arch.n_devices ({arch.n_devices}) "
-                f"devices, not --devices {devices}; use --set "
-                f"arch.n_devices={devices}")
         return mapper.plan_tensor(model, arch, context)
     if s == "hybrid":
         return mapper.plan_hybrid(model, arch, tp=tp, pp=pp, context=context)
@@ -269,7 +270,7 @@ def _cmd_verify(args) -> int:
     pos = args.pos
     compiler.check_position(model, pos)
     # a pipeline verifies on one device unless --devices says otherwise
-    default = None if args.strategy.lower() == "tp" else 1
+    default = 1 if args.strategy.lower() in ("pp", "scaled") else None
     plan = _build_plan(model, arch, args.strategy, args.tp, args.pp,
                        args.devices or default, model.max_context)
     layout = compiler.build_layout(model, plan, arch)

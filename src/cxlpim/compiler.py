@@ -281,6 +281,9 @@ class TraceSummary:
     riscv_slots: Counter = field(default_factory=Counter)  # routine kind
     pnm_microops: int = 0
     cxl_sent_B: int = 0
+    # (kind, fan-in, bytes per sender) -> count of the CXL collectives
+    # this device leads, kinds as timesim.cxl_transfer_time reads them
+    collectives: Counter = field(default_factory=Counter)
 
     def merge(self, other: "TraceSummary", factor: int = 1,
               chan_map: Optional[dict] = None) -> None:
@@ -292,6 +295,8 @@ class TraceSummary:
             self.operators[k] += v * factor
         for k, v in other.riscv_slots.items():
             self.riscv_slots[k] += v * factor
+        for k, v in other.collectives.items():
+            self.collectives[k] += v * factor
         for ch, st in other.channels.items():
             dst = chan_map[ch] if chan_map else ch
             self.channels.setdefault(dst, ChannelStats()).merge(st, factor)
@@ -315,6 +320,8 @@ class TraceSummary:
             "riscv_slots": dict(self.riscv_slots),
             "pnm_microops": self.pnm_microops,
             "cxl_sent_B": self.cxl_sent_B,
+            "collectives": [[*k, n] for k, n in
+                            sorted(self.collectives.items())],
             "channels": {
                 str(ch): {"wr_gb": st.wr_gb,
                           "rd_mac": st.rd_mac,
@@ -384,6 +391,13 @@ class CountSink:
 
     def end_op(self) -> None:
         pass
+
+    def collective(self, kind: str, fan_in: int, sender_B: int) -> None:
+        """Record one CXL collective that this device leads: a MULTICAST
+        of `sender_B` bytes to `fan_in` devices, or a GATHER of
+        `sender_B` bytes from each of `fan_in` devices. Its instructions
+        are emitted and counted as usual; this is what timing prices."""
+        self.summary.collectives[(kind, fan_in, sender_B)] += 1
 
     def emit(self, opcode: str, operands: tuple,
              riscv_kind: Optional[str] = None, **flags) -> None:
@@ -590,7 +604,7 @@ class Layout:
     arch: ArchConfig
     plan: MappingPlan
     sb: SbMap
-    blocks: list[BlockLayout]
+    blocks: list[BlockLayout]    # plan order: a replica's blocks ascend
     zero_rows: dict              # (device, channel) -> row ranges
     # structure key -> (before_core, after_core) unfinished CountSinks per
     # tp role; filled by block_summaries on first use
@@ -911,6 +925,7 @@ class BlockLowering:
         """Master broadcasts n Shared Buffer slots to the group."""
         if self.tp == 1:
             return
+        self.me.sink.collective("MULTICAST", self.tp - 1, n * WORD_B)
         for i in range(n):
             self.me.i("BCAST_CXL", self.tp - 1, base + i, base + i)
         for dev in self.bl.tp_group:
@@ -931,6 +946,8 @@ class BlockLowering:
                 self.em[dev].i("SEND_CXL", self.master, sender_base + g,
                                out + first + g)
             self._recv(self.master, pl.n_groups)
+        # build_layout splits every FC into equal shares
+        self.me.sink.collective("GATHER", self.tp - 1, pl.n_groups * WORD_B)
 
     def _gather_accumulate(self, out: int, sender_base: int) -> None:
         """Down-projection partial sums: stage each sender's full vector
@@ -940,6 +957,7 @@ class BlockLowering:
         if self.tp == 1:
             return
         n, master, stage = self._d_slots(), self.master, self.sb.rms
+        self.me.sink.collective("GATHER", self.tp - 1, n * WORD_B)
 
         def send(em):
             for g in range(n):
@@ -1308,14 +1326,6 @@ class BlockLowering:
 # ---------------------------------------------------------------------------
 # whole-token compilation
 
-def _replica_chains(layout: Layout) -> list[list[BlockLayout]]:
-    chains: dict = {}
-    for bl in layout.blocks:
-        chains.setdefault(bl.replica, []).append(bl)
-    return [sorted(v, key=lambda b: b.block)
-            for _, v in sorted(chains.items())]
-
-
 def _compile_block(layout: Layout, bl: BlockLayout, position: int,
                    emitters: dict) -> None:
     low = BlockLowering(layout, bl, position,
@@ -1357,11 +1367,12 @@ def compile_token(model: ModelSpec, plan: MappingPlan, token_pos: int,
     sinks = {d: ListSink(d, arch) for d in devices}
     emitters = {d: Emitter(sinks[d], arch) for d in devices}
 
-    for chain in _replica_chains(layout):
-        for i, bl in enumerate(chain):
-            _compile_block(layout, bl, token_pos, emitters)
-            if i + 1 < len(chain):
-                _emit_boundary(layout, bl, chain[i + 1], emitters)
+    senders = handoffs(layout)
+    for bl in layout.blocks:
+        src = senders.get((bl.replica, bl.block))
+        if src is not None:
+            _emit_handoff(layout, src, bl.master, emitters)
+        _compile_block(layout, bl, token_pos, emitters)
 
     traces = []
     for d in devices:
@@ -1375,17 +1386,28 @@ def compile_token(model: ModelSpec, plan: MappingPlan, token_pos: int,
     return traces
 
 
-def _emit_boundary(layout: Layout, bl: BlockLayout, nxt: BlockLayout,
-                   emitters: dict) -> None:
-    """Hidden-state handoff to the next block's master device."""
-    if nxt.master == bl.master:
-        return
+def handoffs(layout: Layout) -> dict:
+    """(replica, block) -> the device that hands the hidden state to
+    that block over CXL, for each block whose predecessor in its replica
+    runs on another master. A hand-off moves slots_of(d_model) Shared
+    Buffer slots, point to point."""
+    senders, master = {}, {}             # replica -> last block's master
+    for bl in layout.blocks:
+        if master.get(bl.replica, bl.master) != bl.master:
+            senders[(bl.replica, bl.block)] = master[bl.replica]
+        master[bl.replica] = bl.master
+    return senders
+
+
+def _emit_handoff(layout: Layout, src: int, dst: int,
+                  emitters: dict) -> None:
+    """Hidden-state hand-off from device `src` to device `dst`."""
     n = slots_of(layout.model.d_model)
     h = layout.sb.hidden
     for i in range(n):
-        emitters[bl.master].i("SEND_CXL", nxt.master, h + i, h + i)
+        emitters[src].i("SEND_CXL", dst, h + i, h + i)
     for _ in range(n):
-        emitters[nxt.master].i("RECV_CXL")
+        emitters[dst].i("RECV_CXL")
 
 
 def _structure_key(bl: BlockLayout) -> tuple:

@@ -1,9 +1,14 @@
-"""Block-to-device mapping plans and CXL communication schedules.
+"""Block-to-device mapping plans.
 
 Strategies: PP (one pipeline stage per transformer block, blocks packed
 onto devices), TP (every block spread across all devices, master device
 holds attention/residual/norm), HYBRID (TP groups as pipeline stages),
 and PP+DP (replicated pipeline plans for scaled fleets).
+
+A plan says which devices and channels hold each block, and nothing
+about CXL traffic: the compiler emits the collectives and hidden-state
+hand-offs a plan implies, and the timing and energy models price what
+the compiled trace sends. `comm_volume` is a plan-level summary figure.
 """
 
 from __future__ import annotations
@@ -19,20 +24,6 @@ from .config import ArchConfig, ModelSpec, block_footprint
 
 class MappingError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class CommEvent:
-    kind: str                 # SEND | BROADCAST | MULTICAST | GATHER
-    source: int
-    dests: tuple[int, ...]
-    payload_B: int
-    block: int                # block index the event belongs to (dest block for SEND)
-    label: str                # e.g. "fc_q:bcast", "boundary"
-
-    def __post_init__(self):
-        if self.payload_B <= 0:
-            raise MappingError(f"payload must be positive: {self.label}")
 
 
 @dataclass(frozen=True)
@@ -58,7 +49,6 @@ class MappingPlan:
     context: int
     block_assignments: list[BlockAssignment]
     idle_devices: tuple[int, ...]
-    comm_schedule: list[CommEvent]
     blocks_per_device: int = 1
     devices_per_replica: int = 0
 
@@ -108,7 +98,6 @@ def plan_pipeline(model: ModelSpec, arch: ArchConfig, context: int,
 
     devices_used = math.ceil(model.n_layers / b)
     assignments: list[BlockAssignment] = []
-    comm: list[CommEvent] = []
     blk = 0
     for d in range(devices_used):
         k = min(b, model.n_layers - d * b)
@@ -118,10 +107,6 @@ def plan_pipeline(model: ModelSpec, arch: ArchConfig, context: int,
             assignments.append(BlockAssignment(
                 block=blk, replica=replica, devices=(dev,),
                 channels=(ranges[i],), master=dev, footprint_B=block_B))
-            if i == 0 and d > 0:
-                comm.append(CommEvent(
-                    "SEND", dev - 1, (dev,),
-                    model.d_model * model.weight_precision_B, blk, "boundary"))
             blk += 1
 
     idle = tuple(range(device_offset + devices_used, device_offset + n_devices))
@@ -129,33 +114,7 @@ def plan_pipeline(model: ModelSpec, arch: ArchConfig, context: int,
         strategy="PP", model=model, n_devices=n_devices, tp_degree=1,
         pp_stages=model.n_layers, dp_replicas=1, batch_size=batch,
         context=context, block_assignments=assignments, idle_devices=idle,
-        comm_schedule=comm, blocks_per_device=b, devices_per_replica=devices_used)
-
-
-def _tp_block_events(model: ModelSpec, block: int, master: int,
-                     group: tuple[int, ...], kind: str) -> list[CommEvent]:
-    """Per-block collective schedule for a TP group.
-
-    Broadcasts feed each distributed FC whose input lives on the master
-    (Q, K, V, O, and one shared broadcast for the fused gate/up pair);
-    gathers return every result the master consumes (q/k/v for attention,
-    o and down outputs for the residual adds). The down FC reads its
-    input from the local gate(x)*up(x) slices, so it needs no broadcast.
-    """
-    if len(group) <= 1:
-        return []
-    p = model.weight_precision_B
-    d_B = model.d_model * p
-    kv_B = model.d_head * model.n_kv_heads * p
-    others = tuple(dev for dev in group if dev != master)
-    ev = []
-    for label in ("fc_q", "fc_k", "fc_v", "fc_o", "fc_gateup"):
-        ev.append(CommEvent(kind, master, others, d_B, block, f"{label}:bcast"))
-    for label, size in (("fc_q", d_B), ("fc_k", kv_B), ("fc_v", kv_B),
-                        ("fc_o", d_B), ("fc_down", d_B)):
-        ev.append(CommEvent("GATHER", master, others, size, block,
-                            f"{label}:gather"))
-    return ev
+        blocks_per_device=b, devices_per_replica=devices_used)
 
 
 def plan_tensor(model: ModelSpec, arch: ArchConfig, context: int) -> MappingPlan:
@@ -169,14 +128,11 @@ def plan_tensor(model: ModelSpec, arch: ArchConfig, context: int) -> MappingPlan
     channels = tuple(tuple(range(arch.channels_per_device)) for _ in group)
     assignments = [BlockAssignment(blk, 0, group, channels, 0, block_B)
                    for blk in range(model.n_layers)]
-    comm: list[CommEvent] = []
-    for blk in range(model.n_layers):
-        comm.extend(_tp_block_events(model, blk, 0, group, "BROADCAST"))
     return MappingPlan(
         strategy="TP", model=model, n_devices=arch.n_devices,
         tp_degree=arch.n_devices, pp_stages=1, dp_replicas=1, batch_size=1,
         context=context, block_assignments=assignments, idle_devices=(),
-        comm_schedule=comm, blocks_per_device=model.n_layers,
+        blocks_per_device=model.n_layers,
         devices_per_replica=arch.n_devices)
 
 
@@ -192,7 +148,6 @@ def plan_hybrid(model: ModelSpec, arch: ArchConfig, tp: int, pp: int,
     per_stage = model.n_layers // pp
 
     assignments: list[BlockAssignment] = []
-    comm: list[CommEvent] = []
     for s in range(pp):
         group = tuple(range(s * tp, (s + 1) * tp))
         master = group[0]
@@ -209,19 +164,13 @@ def plan_hybrid(model: ModelSpec, arch: ArchConfig, tp: int, pp: int,
             blk = s * per_stage + i
             assignments.append(BlockAssignment(
                 blk, 0, group, channels_for(i), master, block_B))
-            comm.extend(_tp_block_events(model, blk, master, group, "MULTICAST"))
-            if i == 0 and s > 0:
-                prev_master = (s - 1) * tp
-                comm.append(CommEvent(
-                    "SEND", prev_master, (master,),
-                    model.d_model * model.weight_precision_B, blk, "boundary"))
 
     idle = tuple(range(tp * pp, arch.n_devices))
     return MappingPlan(
         strategy="HYBRID", model=model, n_devices=arch.n_devices,
         tp_degree=tp, pp_stages=pp, dp_replicas=1, batch_size=batch,
         context=context, block_assignments=assignments, idle_devices=idle,
-        comm_schedule=comm, blocks_per_device=per_stage,
+        blocks_per_device=per_stage,
         devices_per_replica=tp * pp)
 
 
@@ -239,19 +188,17 @@ def plan_scaled(model: ModelSpec, arch: ArchConfig, n_devices: int,
     dp = max(1, n_devices // per_replica)
 
     assignments: list[BlockAssignment] = []
-    comm: list[CommEvent] = []
     for r in range(dp):
         sub = plan_pipeline(model, arch, context, n_devices=per_replica,
                             device_offset=r * per_replica, replica=r)
         assignments.extend(sub.block_assignments)
-        comm.extend(sub.comm_schedule)
     idle = tuple(range(dp * per_replica, n_devices))
     return MappingPlan(
         strategy="PP+DP" if dp > 1 else "PP", model=model,
         n_devices=n_devices, tp_degree=1, pp_stages=model.n_layers,
         dp_replicas=dp, batch_size=model.n_layers, context=context,
         block_assignments=assignments, idle_devices=idle,
-        comm_schedule=comm, blocks_per_device=b, devices_per_replica=per_replica)
+        blocks_per_device=b, devices_per_replica=per_replica)
 
 
 @dataclass(frozen=True)
@@ -261,7 +208,23 @@ class CommVolume:
 
 
 def comm_volume(plan: MappingPlan, model: ModelSpec) -> CommVolume:
-    total = sum(ev.payload_B for ev in plan.comm_schedule)
+    """Activation bytes a token moves over CXL, counted per vector: in a
+    tensor-parallel block, the broadcast inputs of Q, K, V, O and the
+    fused gate/up pair and the gathered Q, K, V, O and down outputs, each
+    once; between consecutive blocks of a replica on different masters,
+    one hidden vector. Timing and energy read the compiled trace, which
+    moves only each sender's share of a gathered vector."""
+    d_B = model.d_model * model.weight_precision_B
+    kv_B = model.d_head * model.n_kv_heads * model.weight_precision_B
+    tp_block_B = 5 * d_B + 3 * d_B + 2 * kv_B     # broadcasts + gathers
+    total = 0
+    master: dict = {}                       # replica -> last block's master
+    for a in plan.block_assignments:
+        if len(a.devices) > 1:
+            total += tp_block_B
+        if master.get(a.replica, a.master) != a.master:
+            total += d_B
+        master[a.replica] = a.master
     n_blocks = model.n_layers * plan.dp_replicas
     return CommVolume(per_token_B=total,
                       per_block_B=total / n_blocks if n_blocks else 0.0)

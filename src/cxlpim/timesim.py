@@ -1,11 +1,14 @@
 """Timing model for the PIM fleet.
 
 One rule prices every DRAM channel (`channel_busy_ns`), one table
-prices every RISC-V routine (`isa.RV_ROUTINES`), and `simulate_system`
+prices every RISC-V routine (`isa.RV_ROUTINES`), one model prices
+every CXL transfer (`cxl_transfer_time`), and `simulate_system`
 composes them: it takes compiled activity summaries, one per structure
-class of blocks, adds CXL transfer times and yields per-token and
-per-query latencies, steady-state throughput and the activity counts
-the energy model reads.
+class of blocks, and yields per-token and per-query latencies,
+steady-state throughput and the activity counts the energy model reads.
+The CXL traffic it prices is what the compiled trace sends: each
+class's recorded collectives (`TraceSummary.collectives`) and the
+hidden-state hand-offs between masters (`compiler.handoffs`).
 
 The DRAM rule reads a channel's bracket histogram, which the compiler's
 sinks count from the instructions they emit: each run of bank-row
@@ -73,9 +76,9 @@ def cxl_transfer_time(payload_B: float, kind: str, fanout: int,
     if bw <= 0:
         raise TimingError("effective CXL bandwidth must be positive")
     per_ns = bw / 1e9
-    if kind in ("P2P", "SEND"):
+    if kind == "P2P":
         return c.base_latency_ns + payload_B / per_ns
-    if kind in ("BROADCAST", "MULTICAST"):
+    if kind == "MULTICAST":
         return (c.multicast_latency_factor * c.base_latency_ns
                 + payload_B / (c.multicast_bandwidth_factor * per_ns))
     if kind == "GATHER":
@@ -193,12 +196,14 @@ def _token_profile(layout, plan: MappingPlan, arch: ArchConfig,
                    pos: int) -> _TokenProfile:
     """Latency and activity of one forward pass at token position `pos`.
 
-    Composed per structure class: each role's device times and activity
-    counts are taken once per class. Latency walks replica 0's blocks
-    in order, adding each block's class times, so the float sums are
-    those of a per-block walk; replicas are identical by construction.
-    Activity counts cover every replica: they are integers, so each
-    class's counts are multiplied by its block count."""
+    Composed per structure class: each role's device times, activity
+    counts and CXL collectives are taken once per class. Latency walks
+    replica 0's blocks in order, adding each block's class times, so the
+    float sums are those of a per-block walk; replicas are identical by
+    construction. A hidden-state hand-off is added before the block that
+    receives it and charged to the sending master's stage. Activity
+    counts cover every replica: they are integers, so each class's
+    counts are multiplied by its block count."""
     t = arch.timing
     classes = compiler.block_summaries(layout.model, plan, arch, pos, layout)
     by_key = {compiler._structure_key(c.representative): c for c in classes}
@@ -208,49 +213,40 @@ def _token_profile(layout, plan: MappingPlan, arch: ArchConfig,
         times = [device_times(s, t, arch.pnm_clock_Hz)
                  for s in cls.device_summaries.values()]
         worst = max(times, key=lambda d: d["pim"] + d["pnm"] + d["dispatch"])
-        class_times[key] = (worst, worst["pim"] + worst["pnm"]
-                            + worst["dispatch"])
         counts = Counter()
+        collectives = Counter()
         for s in cls.device_summaries.values():
             _merge_counts(counts, s)
+            collectives.update(s.collectives)
         for k, v in counts.items():
             prof.counts[k] += v * cls.count
+        cxl = 0.0
+        # in key order, as channel_busy_ns sums its histogram
+        for (kind, fan_in, sender_B), n in sorted(collectives.items()):
+            cxl += n * cxl_transfer_time(sender_B, kind, fan_in, arch.cxl)
+        class_times[key] = (worst, worst["pim"] + worst["pnm"]
+                            + worst["dispatch"], cxl)
 
-    # replicas reuse block ids; keep replica 0's events only
-    rep0 = {d for a in plan.block_assignments if a.replica == 0
-            for d in a.devices}
-    events_by_block: dict = {}
-    for ev in plan.comm_schedule:
-        if ev.source in rep0:
-            events_by_block.setdefault(ev.block, []).append(ev)
-
+    senders = compiler.handoffs(layout)
+    handoff_B = compiler.slots_of(layout.model.d_model) * WORD_B
     stage_ns: dict = {}
     for bl in layout.blocks:
         if bl.replica == 0:
-            worst, compute = class_times[compiler._structure_key(bl)]
-            cxl = 0.0
-            for ev in events_by_block.get(bl.block, []):
-                if ev.kind == "SEND" and ev.label == "boundary":
-                    # inter-stage handoff: charged to the sending stage
-                    hop = cxl_transfer_time(ev.payload_B, "P2P", 1, arch.cxl)
-                    stage_ns[ev.source] = stage_ns.get(ev.source, 0.0) + hop
-                    prof.cxl += hop
-                    prof.token_ns += hop
-                    continue
-                kind = "GATHER" if ev.kind == "GATHER" else "MULTICAST"
-                cxl += cxl_transfer_time(ev.payload_B, kind,
-                                         len(ev.dests), arch.cxl)
+            src = senders.get((0, bl.block))
+            if src is not None:
+                hop = cxl_transfer_time(handoff_B, "P2P", 1, arch.cxl)
+                stage_ns[src] = stage_ns.get(src, 0.0) + hop
+                prof.cxl += hop
+                prof.token_ns += hop
+            worst, compute, cxl = class_times[compiler._structure_key(bl)]
             prof.token_ns += compute + cxl
             prof.pim += worst["pim"]
             prof.pnm += worst["pnm"]
             prof.dispatch += worst["dispatch"]
             prof.cxl += cxl
             stage_ns[bl.master] = stage_ns.get(bl.master, 0.0) + compute + cxl
-    # boundary handoffs counted for all replicas
-    n_slots = compiler.slots_of(layout.model.d_model)
-    n_boundaries = sum(1 for ev in plan.comm_schedule
-                       if ev.kind == "SEND" and ev.label == "boundary")
-    prof.counts["CXL_B"] += n_boundaries * n_slots * WORD_B
+    # hand-offs of every replica
+    prof.counts["CXL_B"] += len(senders) * handoff_B
 
     prof.step_ns = max(stage_ns.values(), default=prof.token_ns)
     return prof

@@ -184,10 +184,14 @@ def test_tensor_parallel_and_boundary_traffic():
     vol = mapper.comm_volume(tp, LLAMA_70B)
     assert within(vol.per_block_B, 135 * KB, 0.05)
 
+    # each pipeline hand-off the compiled trace sends is one 16 KB
+    # hidden vector
     pp = mapper.plan_pipeline(LLAMA_70B, ARCH, context=4096)
-    boundary = [ev for ev in pp.comm_schedule if ev.label == "boundary"]
-    assert boundary
-    assert all(ev.payload_B == 16 * KB for ev in boundary)
+    layout = compiler.build_layout(LLAMA_70B, pp, ARCH)
+    hops = len(compiler.handoffs(layout))
+    assert hops
+    assert compiler.slots_of(LLAMA_70B.d_model) * WORD_B == 16 * KB
+    assert mapper.comm_volume(pp, LLAMA_70B).per_token_B == hops * 16 * KB
 
 
 # ---------------------------------------------------------------------------

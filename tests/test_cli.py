@@ -88,12 +88,14 @@ def test_verify_two_device_pipeline_passes(capsys):
      "--out", "out"],
     ["simulate", "--model", "toy", "--set", "arch.energy.name=x",
      "--out", "out"],
-    # CliError: tensor parallelism spans arch.n_devices, so a --devices
-    # that differs is rejected, not ignored
+    # CliError: tensor-parallel and hybrid plans span arch.n_devices, so
+    # a --devices that differs is rejected, not ignored
     ["verify", "--model", "mid", "--strategy", "tp", "--devices", "2",
      "--pos", "5"],
     ["simulate", "--model", "llama2_70b", "--strategy", "tp", "--devices",
      "8", "--out", "out"],
+    ["simulate", "--model", "llama2_70b", "--strategy", "hybrid", "--tp",
+     "4", "--pp", "8", "--devices", "8", "--out", "out"],
 ])
 def test_lowering_errors_exit_2_with_one_line(argv, capsys, tmp_path,
                                               monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from cxlpim.config import (CONFIGS_DIR, ROW_SLOTS, WORD_B, ArchConfig,
                            ModelSpec, load_config)
 from cxlpim.isa import IsaError, make_instruction, validate_trace
-from cxlpim.mapper import plan_hybrid, plan_pipeline, plan_tensor
+from cxlpim.mapper import comm_volume, plan_hybrid, plan_pipeline, plan_tensor
 from cxlpim import compiler
 from cxlpim.compiler import (
     CompileError, CountSink, Emitter, GemvJob, ListSink, TensorPlacement,
@@ -314,8 +314,9 @@ def test_ffn_applies_silu(toy_traces):
 
 def test_block_summaries_match_list_mode():
     # the counting path (one summary per structure class, reused for
-    # every block of the class, plus the mapper's boundary handoffs)
-    # counts what the materialized token trace holds
+    # every block of the class, plus the hidden-state hand-offs that
+    # timing prices from compiler.handoffs) counts what the
+    # materialized token trace holds
     for n_devices in (1, 2):
         plan = plan_pipeline(TOY, ARCH, TOY.max_context,
                              n_devices=n_devices)
@@ -332,14 +333,13 @@ def test_block_summaries_match_list_mode():
                                     bl.assignment.channels[di]))
                 counted.setdefault(dev, compiler.TraceSummary()).merge(
                     cls.device_summaries[di], chan_map=chan_map)
-        for ev in plan.comm_schedule:
-            if ev.label != "boundary":
-                continue
-            n = ev.payload_B // WORD_B
-            src, dst = counted[ev.source], counted[ev.dests[0]]
+        masters = {(bl.replica, bl.block): bl.master for bl in layout.blocks}
+        n = compiler.slots_of(TOY.d_model)
+        for receiver, sender in compiler.handoffs(layout).items():
+            src, dst = counted[sender], counted[masters[receiver]]
             src.instructions["SEND_CXL"] += n
             src.microops["SEND_CXL"] += n
-            src.cxl_sent_B += ev.payload_B
+            src.cxl_sent_B += n * WORD_B
             dst.instructions["RECV_CXL"] += n
             dst.microops["RECV_CXL"] += n
         listed = compile_token(TOY, plan, 20, layout=layout)
@@ -356,7 +356,10 @@ def test_block_summaries_match_list_mode():
 def test_token_summaries_recount_one_instruction_at_a_time(model, plan_of):
     # both sinks append the shared attention bodies and the pieces a
     # tensor-parallel group shares, so recount each materialized trace
-    # by emitting its instructions one by one
+    # by emitting its instructions one by one. Operators and collectives
+    # are recorded by the lowering, not read from instructions, so they
+    # are replayed from the trace (test_priced_cxl_bytes_equal_trace_sends
+    # checks the collectives against the CXL instructions)
     plan = plan_of()
     layout = build_layout(model, plan, ARCH)
     for pos in (0, 15, 16, 20, 40, 63):
@@ -364,6 +367,9 @@ def test_token_summaries_recount_one_instruction_at_a_time(model, plan_of):
             sink = CountSink(t.device, ARCH)
             for name, _, _ in t.annotations:
                 sink.begin_op(name)
+            for key, n in t.summary.collectives.items():
+                for _ in range(n):
+                    sink.collective(*key)
             for inst in t.instructions:
                 kind = (t.routines[inst.PC][0] if inst.opcode == "RISCV"
                         else None)
@@ -438,16 +444,20 @@ def test_mac_dominance_70b(plan_70b):
 
 def test_70b_boundary_traffic(plan_70b):
     # the compiler hands the hidden state on wherever consecutive blocks
-    # change master; the mapper schedules the same handoffs for timing
+    # change master (compiler.handoffs, which timing prices too); the
+    # mapper's plan-level comm_volume counts the same hand-offs from the
+    # plan's assignments
     layout = build_layout(LLAMA_70B, plan_70b, ARCH)
-    hops = sum(nxt.master != bl.master
-               for chain in compiler._replica_chains(layout)
-               for bl, nxt in zip(chain, chain[1:]))
+    chain = sorted(layout.blocks, key=lambda bl: bl.block)   # one replica
+    hops = sum(nxt.master != bl.master for bl, nxt in zip(chain, chain[1:]))
+    senders = compiler.handoffs(layout)
+    assert len(senders) == hops
+    assert all(src == layout.blocks[blk].master - 1
+               for (_, blk), src in senders.items())
     sent = hops * compiler.slots_of(LLAMA_70B.d_model) * WORD_B
-    scheduled = sum(ev.payload_B for ev in plan_70b.comm_schedule
-                    if ev.label == "boundary")
     # 26 stage boundaries x 16 KB hidden vector
-    assert sent == scheduled == 26 * 16 * 1024
+    assert sent == comm_volume(plan_70b, LLAMA_70B).per_token_B
+    assert sent == 26 * 16 * 1024
 
 
 def test_tensor_parallel_compiles_and_gathers():
@@ -462,6 +472,15 @@ def test_tensor_parallel_compiles_and_gathers():
     assert s.instructions["BCAST_CXL"] > 0
     assert s.instructions["SEND_CXL"] > 0
     assert s.cxl_sent_B > 0
+    # the master leads five broadcasts of the 16 KB normed input and
+    # gathers each non-master's share: 512 B of q and of o, 64 B of k
+    # and of v, and the whole 16 KB down partial, 17,536 B per sender
+    (cls,) = classes
+    assert cls.device_summaries[0].collectives == {
+        ("MULTICAST", 31, 16384): 5, ("GATHER", 31, 512): 2,
+        ("GATHER", 31, 64): 2, ("GATHER", 31, 16384): 1}
+    assert {cls.device_summaries[di].cxl_sent_B
+            for di in range(1, 32)} == {17536}
 
 
 # ---------------------------------------------------------------------------

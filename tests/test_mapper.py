@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from cxlpim import compiler
 from cxlpim.config import ArchConfig, ModelSpec
 from cxlpim.mapper import (
     MappingError, comm_volume, plan_hybrid, plan_pipeline, plan_scaled,
@@ -20,6 +21,26 @@ LLAMA_7B = ModelSpec(name="llama2-7b", n_layers=32, d_model=4096,
 
 def blocks_per_device(plan):
     return Counter(a.devices[0] for a in plan.block_assignments)
+
+
+def handoffs(model, plan):
+    """(sender, receiver) devices of the hidden-state hand-offs that the
+    compiled trace sends and timing prices, in block order."""
+    layout = compiler.build_layout(model, plan, ARCH)
+    masters = {(bl.replica, bl.block): bl.master for bl in layout.blocks}
+    return [(src, masters[blk])
+            for blk, src in sorted(compiler.handoffs(layout).items())]
+
+
+def collective_kinds(model, plan):
+    """Count of each kind of CXL collective one token's compiled blocks
+    record."""
+    kinds = Counter()
+    for cls in compiler.block_summaries(model, plan, ARCH, 0):
+        for s in cls.device_summaries.values():
+            for (kind, _, _), n in s.collectives.items():
+                kinds[kind] += n * cls.count
+    return kinds
 
 
 def test_pipeline_70b_32_devices():
@@ -70,10 +91,10 @@ def test_pipeline_capacity_error():
 
 def test_pipeline_boundary_sends():
     plan = plan_pipeline(LLAMA_70B, ARCH, 4096)
-    sends = [e for e in plan.comm_schedule if e.kind == "SEND"]
-    assert len(sends) == 26
-    assert all(e.payload_B == 16384 for e in sends)
-    assert all(e.dests == (e.source + 1,) for e in sends)
+    sends = handoffs(LLAMA_70B, plan)
+    assert sends == [(d, d + 1) for d in range(26)]
+    # one 16 KB hidden vector per hand-off
+    assert comm_volume(plan, LLAMA_70B).per_token_B == 26 * 16384
 
 
 def test_tensor_comm_volume_70b():
@@ -82,8 +103,8 @@ def test_tensor_comm_volume_70b():
     # ~135 KB of activation traffic per block
     assert 128.25 * 1024 <= vol.per_block_B <= 141.75 * 1024
     assert vol.per_token_B == vol.per_block_B * 80
-    kinds = Counter(e.kind for e in plan.comm_schedule)
-    assert kinds == {"BROADCAST": 5 * 80, "GATHER": 5 * 80}
+    assert collective_kinds(LLAMA_70B, plan) == {
+        "MULTICAST": 5 * 80, "GATHER": 5 * 80}
 
 
 def test_tensor_assignments_span_fleet():
@@ -101,11 +122,9 @@ def test_hybrid_8x4():
     assert plan.blocks_per_device == 20
     stages = {a.devices for a in plan.block_assignments}
     assert stages == {tuple(range(s * 8, s * 8 + 8)) for s in range(4)}
-    sends = [e for e in plan.comm_schedule if e.kind == "SEND"]
-    assert [(e.source, e.dests) for e in sends] == [
-        (0, (8,)), (8, (16,)), (16, (24,))]
-    kinds = Counter(e.kind for e in plan.comm_schedule)
-    assert kinds["MULTICAST"] == 5 * 80 and kinds["GATHER"] == 5 * 80
+    assert handoffs(LLAMA_70B, plan) == [(0, 8), (8, 16), (16, 24)]
+    assert collective_kinds(LLAMA_70B, plan) == {
+        "MULTICAST": 5 * 80, "GATHER": 5 * 80}
 
 
 def test_hybrid_tp1_degenerates_to_pipeline():
@@ -116,6 +135,7 @@ def test_hybrid_tp1_degenerates_to_pipeline():
     assert key(hyb) == key(pp)
     assert (comm_volume(hyb, LLAMA_7B).per_token_B
             == comm_volume(pp, LLAMA_7B).per_token_B)
+    assert handoffs(LLAMA_7B, hyb) == handoffs(LLAMA_7B, pp)
 
 
 def test_hybrid_pp1_degenerates_to_tensor():
@@ -126,6 +146,7 @@ def test_hybrid_pp1_degenerates_to_tensor():
     assert key(hyb) == key(tp)
     assert (comm_volume(hyb, LLAMA_70B).per_token_B
             == comm_volume(tp, LLAMA_70B).per_token_B)
+    assert handoffs(LLAMA_70B, hyb) == handoffs(LLAMA_70B, tp) == []
 
 
 def test_hybrid_indivisible_rejected():

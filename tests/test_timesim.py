@@ -7,8 +7,8 @@ from collections import Counter
 
 from cxlpim import compiler, isa, mapper, timesim
 from cxlpim.compiler import ChannelStats
-from cxlpim.config import (REGS, WORD_B, ArchConfig, CxlParams, ModelSpec,
-                           TimingParams)
+from cxlpim.config import (CONFIGS_DIR, REGS, WORD_B, ArchConfig, CxlParams,
+                           ModelSpec, TimingParams, load_config)
 from cxlpim.timesim import (
     SimReport, TimingError, bracket_ns, channel_busy_ns, cxl_transfer_time,
     device_times, simulate_system,
@@ -316,43 +316,46 @@ def test_70b_pipeline_steady_state():
 
 def _reference_token_profile(layout, plan, arch, pos):
     """One forward pass at `pos`, walking every block: each block adds
-    its class's device times, each of its channels' busy time and its
-    activity counts. (token_ns, step_ns, pim, pnm, dispatch, cxl,
-    counts, busy)."""
+    its class's device times, the price of each CXL collective its
+    class's trace records, each of its channels' busy time and its
+    activity counts. A block whose predecessor in its replica ran on
+    another master first receives the hidden state from it, point to
+    point; replica 0's hand-offs are priced and charged to the sender,
+    every replica's are counted in CXL_B. (token_ns, step_ns, pim, pnm,
+    dispatch, cxl, counts, busy)."""
     t = arch.timing
     classes = compiler.block_summaries(layout.model, plan, arch, pos, layout)
     by_key = {compiler._structure_key(c.representative): c for c in classes}
     role_times = {key: {di: device_times(s, t, arch.pnm_clock_Hz)
                         for di, s in cls.device_summaries.items()}
                   for key, cls in by_key.items()}
-    rep0 = {d for a in plan.block_assignments if a.replica == 0
-            for d in a.devices}
-    events_by_block = {}
-    for ev in plan.comm_schedule:
-        if ev.source in rep0:
-            events_by_block.setdefault(ev.block, []).append(ev)
+    hop_B = compiler.slots_of(layout.model.d_model) * WORD_B
 
     token = pim = pnm = dispatch = cxl_total = 0.0
     counts = Counter()
     stage_ns, busy = {}, {}
+    prev_master, n_hops = {}, 0               # replica -> last master
     for bl in layout.blocks:
         key = compiler._structure_key(bl)
         cls = by_key[key]
+        src = prev_master.get(bl.replica, bl.master)
+        prev_master[bl.replica] = bl.master
+        n_hops += src != bl.master
         if bl.replica == 0:
+            if src != bl.master:
+                hop = cxl_transfer_time(hop_B, "P2P", 1, arch.cxl)
+                stage_ns[src] = stage_ns.get(src, 0.0) + hop
+                cxl_total += hop
+                token += hop
             worst = max(role_times[key].values(),
                         key=lambda d: d["pim"] + d["pnm"] + d["dispatch"])
             compute = worst["pim"] + worst["pnm"] + worst["dispatch"]
+            collectives = Counter()
+            for s in cls.device_summaries.values():
+                collectives.update(s.collectives)
             cxl = 0.0
-            for ev in events_by_block.get(bl.block, []):
-                if ev.kind == "SEND" and ev.label == "boundary":
-                    hop = cxl_transfer_time(ev.payload_B, "P2P", 1, arch.cxl)
-                    stage_ns[ev.source] = stage_ns.get(ev.source, 0.0) + hop
-                    cxl_total += hop
-                    token += hop
-                    continue
-                kind = "GATHER" if ev.kind == "GATHER" else "MULTICAST"
-                cxl += cxl_transfer_time(ev.payload_B, kind,
-                                         len(ev.dests), arch.cxl)
+            for (kind, fan_in, sender_B), n in sorted(collectives.items()):
+                cxl += n * cxl_transfer_time(sender_B, kind, fan_in, arch.cxl)
             token += compute + cxl
             pim += worst["pim"]
             pnm += worst["pnm"]
@@ -368,10 +371,7 @@ def _reference_token_profile(layout, plan, arch, pos):
                     dbusy[ch] = dbusy.get(ch, 0.0) + channel_busy_ns(st, t)
         for di in range(len(bl.tp_group)):
             timesim._merge_counts(counts, cls.device_summaries[di])
-    n_boundaries = sum(1 for ev in plan.comm_schedule
-                       if ev.kind == "SEND" and ev.label == "boundary")
-    counts["CXL_B"] += (n_boundaries * compiler.slots_of(layout.model.d_model)
-                        * WORD_B)
+    counts["CXL_B"] += n_hops * hop_B
     step = max(stage_ns.values(), default=token)
     return token, step, pim, pnm, dispatch, cxl_total, counts, busy
 
@@ -431,6 +431,44 @@ def test_per_class_composition_equals_per_block_walk(model, arch, plan_of):
         got = simulate_system(model, plan, arch, prefill, decode, gap)
         assert got.to_dict() == _reference_report(
             model, plan, arch, prefill, decode, gap), (prefill, decode, gap)
+
+
+# a fabric that charges 1 ns per byte and nothing per transfer: under it,
+# the CXL time _token_profile prices is the number of bytes it prices
+UNIT_CXL = CxlParams(link_bandwidth_Bps=1e9, link_efficiency=1.0,
+                     base_latency_ns=0.0, multicast_bandwidth_factor=1.0)
+TOY = load_config(CONFIGS_DIR / "toy.json")[0]
+
+
+@pytest.mark.parametrize("model, n_devices, plan_of", [
+    (TINY, 2, lambda m, a: mapper.plan_tensor(m, a, 64)),
+    (TP4, 32, lambda m, a: mapper.plan_hybrid(m, a, tp=4, pp=1, context=64)),
+    (TOY, 32, lambda m, a: mapper.plan_pipeline(m, a, 64, n_devices=2)),
+], ids=["tiny-tp2", "tp4-hybrid-tp4-pp1", "toy-pp2"])
+def test_priced_cxl_bytes_equal_trace_sends(model, n_devices, plan_of):
+    arch = ArchConfig(n_devices=n_devices, cxl=UNIT_CXL)
+    plan = plan_of(model, arch)
+    layout = compiler.build_layout(model, plan, arch)
+    for pos in (0, 17, 63):
+        # per class: the collectives recorded carry the BCAST_CXL and
+        # SEND_CXL words its devices emit (a multicast sends its payload
+        # once, a gather once per sender)
+        for cls in compiler.block_summaries(model, plan, arch, pos, layout):
+            roles = cls.device_summaries.values()
+            recorded, sent = Counter(), Counter()
+            for s in roles:
+                for (kind, fan_in, sender_B), n in s.collectives.items():
+                    recorded[kind] += n * sender_B * (
+                        fan_in if kind == "GATHER" else 1)
+                sent["MULTICAST"] += s.instructions["BCAST_CXL"] * WORD_B
+                sent["GATHER"] += s.instructions["SEND_CXL"] * WORD_B
+            assert recorded == sent, pos
+            assert all(k[1] == len(cls.representative.tp_group) - 1
+                       for s in roles for k in s.collectives)
+        # per token: every collective and hand-off priced is sent
+        traces = compiler.compile_token(model, plan, pos, layout=layout)
+        prof = timesim._token_profile(layout, plan, arch, pos)
+        assert prof.cxl == sum(t.summary.cxl_sent_B for t in traces), pos
 
 
 def test_simulate_system_rejects_a_layout_built_for_another_config():
