@@ -9,8 +9,10 @@ The runs are `cxlpim simulate --out` on:
   * llama2-70B scaled over 16 devices (context 2048, seq-gap 512),
   * llama2-7B pipelined over 8 devices (seq-gap 128),
 
-`cxlpim compile --out` on llama2-70B tensor parallel (position 2048)
-and on toy over 2 devices, and `cxlpim sweep` over a small spec list.
+`cxlpim compile --out` on llama2-70B tensor parallel (position 2048),
+on toy over 2 devices and on llama2-70B scaled over 80 devices (two
+pipeline replicas, context 2048), and `cxlpim sweep` over a small spec
+list.
 Each runs in this process through `cli.main`, against the `src/` next
 to this script, so two checkouts can be compared line by line:
 
@@ -53,6 +55,8 @@ COMPILE = {
     "compile-tp70b": ["--model", "llama2_70b", "--strategy", "tp",
                       "--pos", "2048"],
     "compile-toy-2": ["--model", "toy", "--devices", "2"],
+    "compile-scaled70b-80": ["--model", "llama2_70b", "--strategy", "scaled",
+                             "--devices", "80", "--context", "2048"],
 }
 
 SWEEP = [

@@ -77,6 +77,8 @@ def _build_plan(model: ModelSpec, arch: ArchConfig, strategy: str,
                 tp: int, pp: int, devices: int | None,
                 context: int) -> mapper.MappingPlan:
     s = strategy.lower()
+    if devices is not None and devices < 1:
+        raise CliError(f"--devices must be positive, got {devices}")
     if (s in ("tp", "hybrid") and devices is not None
             and devices != arch.n_devices):
         raise CliError(
@@ -139,10 +141,9 @@ def run_config(spec: dict) -> dict:
                                   decode_tokens=decode,
                                   seq_gap=int(spec.get("seq_gap", 128)))
     er, tco = _price(rep, arch)
-    n_devices = int(spec.get("devices") or arch.n_devices)
     return {
         "model": model.name,
-        "n_devices": n_devices,
+        "n_devices": plan.n_devices,
         "strategy": plan.strategy,
         "tp": plan.tp_degree,
         "pp": plan.pp_stages,
@@ -211,6 +212,16 @@ def run_sweep(specs: list[dict], out_path, workers: int = 1) -> int:
 # subcommands
 
 
+def _note_idle(plan: mapper.MappingPlan) -> None:
+    """One stderr line naming the plan's idle devices, if it has any
+    (they are always the last devices of the fleet)."""
+    idle = plan.idle_devices
+    if idle:
+        names = (f"device {idle[0]}" if len(idle) == 1
+                 else f"devices {idle[0]}-{idle[-1]}")
+        print(f"note: {names} of {plan.n_devices} idle", file=sys.stderr)
+
+
 def _context(args, model: ModelSpec) -> int:
     """--context, or the model's max_context when it is not given."""
     if args.context is None:
@@ -253,6 +264,7 @@ def _cmd_compile(args) -> int:
     }, indent=2) + "\n")
     print(f"plan: {plan.strategy}, batch {plan.batch_size}, "
           f"{len(plan.active_devices)} active devices -> {out}")
+    _note_idle(plan)
     return 0
 
 
@@ -321,6 +333,8 @@ def _cmd_verify(args) -> int:
     print(f"float reference: max rel err {diff.max_rel:.4%} "
           f"({'PASS' if diff.passed else 'FAIL'}, budget {args.rel_tol:.0%})")
     ok = diff.passed and (exact or plan.tp_degree > 1)
+    if ok:
+        _note_idle(plan)
     return 0 if ok else 1
 
 
@@ -376,6 +390,7 @@ def _cmd_simulate(args) -> int:
           f"{1.0 / er.tokens_per_J:.3f} J/token, "
           f"{er.device_avg_W:.1f} W/device, "
           f"{tco.owned_USD_per_hr:.3f} $/hr owned")
+    _note_idle(plan)
     return 0
 
 

@@ -28,7 +28,7 @@ GB = 1024 * 1024 * 1024
 
 LANE = 16           # BF16 lanes per 256-bit word
 WORD_B = 32         # bytes per word, one DRAM column
-ROW_SLOTS = 64      # words (columns) per 2 KB DRAM row
+ROW_SLOTS = 64      # words (columns) per 2 KB DRAM row; Global Buffer slots
 REGS = 32           # accumulation registers per near-bank unit
 BANKS = 16          # banks per channel, one near-bank unit each
 BANK_GROUPS = 4     # bank groups per channel; EW_MUL runs a triple in each
@@ -173,7 +173,6 @@ class ArchConfig:
     n_devices: int = 32
     channels_per_device: int = 32
     bank_capacity_B: int = 32 * MB
-    global_buffer_B: int = 2 * KB
     shared_buffer_B: int = 64 * KB
     pnm_clock_Hz: float = 2e9
     n_scalar_cores: int = 8
@@ -184,8 +183,7 @@ class ArchConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_devices", "channels_per_device", "bank_capacity_B",
-                     "global_buffer_B", "shared_buffer_B", "pnm_clock_Hz",
-                     "n_scalar_cores"):
+                     "shared_buffer_B", "pnm_clock_Hz", "n_scalar_cores"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
 
@@ -200,10 +198,6 @@ class ArchConfig:
     @property
     def rows_per_bank(self) -> int:
         return self.bank_capacity_B // (ROW_SLOTS * WORD_B)  # 16384
-
-    @property
-    def gb_slots(self) -> int:
-        return self.global_buffer_B // WORD_B  # 64
 
     @property
     def sb_slots(self) -> int:

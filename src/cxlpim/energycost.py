@@ -22,7 +22,7 @@ and its breakdown; the last two live on the controller die and host.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .config import BANKS, PARAMS_DIR, ArchConfig, CostParams, EnergyParams
@@ -197,16 +197,6 @@ class CostBreakdown:
     nre_USD: float
     total_USD: float
 
-    def to_dict(self) -> dict:
-        return {
-            "dies_per_wafer": self.dies_per_wafer,
-            "yield_fraction": self.yield_fraction,
-            "die_USD": self.die_USD,
-            "packaging_USD": self.packaging_USD,
-            "nre_USD": self.nre_USD,
-            "total_USD": self.total_USD,
-        }
-
 
 def controller_unit_cost(c: CostParams) -> CostBreakdown:
     """Per-unit cost of the CXL controller: die + packaging + NRE.
@@ -285,15 +275,7 @@ class TcoReport:
     tokens_per_dollar: float      # at the owned rate
 
     def to_dict(self) -> dict:
-        return {
-            "hardware_USD": self.hardware_USD,
-            "unit_cost": self.unit_cost.to_dict(),
-            "owned_USD_per_hr": self.owned_USD_per_hr,
-            "rental_USD_per_hr": self.rental_USD_per_hr,
-            "fleet_avg_W": self.fleet_avg_W,
-            "tokens_per_s": self.tokens_per_s,
-            "tokens_per_dollar": self.tokens_per_dollar,
-        }
+        return asdict(self)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")

@@ -179,14 +179,14 @@ def _operand_rules(cfg: Optional[ArchConfig]) -> dict[str, _Rule]:
     if cached is not None:
         return cached
     rules = _rules_for(cfg.channels_per_device, cfg.rows_per_bank,
-                       cfg.gb_slots, cfg.sb_slots, cfg.n_devices)
+                       cfg.sb_slots, cfg.n_devices)
     object.__setattr__(cfg, "_isa_rules", rules)
     return rules
 
 
 @functools.lru_cache(maxsize=64)
-def _rules_for(chans: int, rows_per_bank: int, gb_slots: int,
-               sb_slots: int, n_devices: int) -> dict[str, _Rule]:
+def _rules_for(chans: int, rows_per_bank: int, sb_slots: int,
+               n_devices: int) -> dict[str, _Rule]:
     """Build and compile the rule table of one set of config numbers."""
     table = {
         "CHmask": (1, 1 << chans),
@@ -209,11 +209,10 @@ def _rules_for(chans: int, rows_per_bank: int, gb_slots: int,
         bounds = [(name, *table[name]) for name in fields]
         extents = []
         if op == "WR_GB":
-            # WR_GB's CO indexes Global Buffer slots, not DRAM columns
-            bounds[idx["CO"]] = ("CO", 0, gb_slots)
-            extents.append((idx["CO"], idx["OPsize"], gb_slots,
+            # WR_GB's CO indexes Global Buffer slots, one row's worth
+            extents.append((idx["CO"], idx["OPsize"], ROW_SLOTS,
                             "WR_GB: slots {}+{} exceed Global Buffer "
-                            f"({gb_slots} slots)"))
+                            f"({ROW_SLOTS} slots)"))
         elif op in _COLUMN_WALKERS:
             extents.append((idx["CO"], idx["OPsize"], ROW_SLOTS,
                             f"{op}: columns {{}}+{{}} cross the row boundary "

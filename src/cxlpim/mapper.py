@@ -1,9 +1,14 @@
 """Block-to-device mapping plans.
 
-Strategies: PP (one pipeline stage per transformer block, blocks packed
-onto devices), TP (every block spread across all devices, master device
-holds attention/residual/norm), HYBRID (TP groups as pipeline stages),
-and PP+DP (replicated pipeline plans for scaled fleets).
+Every plan is `dp` replicas of a chain of stages, laid out by one rule
+(`_stages`): a stage is `tp` consecutive devices holding consecutive
+blocks, its first device the master, and one capacity check covers
+every plan. The four strategies are entry points that only choose the
+grid: PP (one-device stages, blocks packed onto as few devices as the
+fleet allows, one pipeline stage per block), TP (one stage over the
+whole fleet; the master holds attention, residual and norm), HYBRID
+(`pp` stages of `tp` devices) and PP+DP (replicated pipelines for
+scaled fleets).
 
 A plan says which devices and channels hold each block, and nothing
 about CXL traffic: the compiler emits the collectives and hidden-state
@@ -48,7 +53,7 @@ class MappingPlan:
     batch_size: int
     context: int
     block_assignments: list[BlockAssignment]
-    idle_devices: tuple[int, ...]
+    idle_devices: tuple[int, ...]     # the last devices, past the replicas
     blocks_per_device: int = 1
     devices_per_replica: int = 0
 
@@ -58,120 +63,96 @@ class MappingPlan:
         return tuple(used)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["model"] = asdict(self.model)
-        return d
+        return asdict(self)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=1,
                                          sort_keys=True) + "\n")
 
 
-def _split_channels(n_channels: int, n_blocks: int) -> list[tuple[int, ...]]:
-    """Half-device channel group per block, alternating halves.
+def _stages(strategy: str, model: ModelSpec, arch: ArchConfig, context: int,
+            n_devices: int, tp: int, per_stage: int, batch: int,
+            pp_stages: int, dp: int = 1) -> MappingPlan:
+    """The one plan layout: `dp` replicas of a chain of stages.
 
-    Every block spans the same channel width no matter how many blocks
-    share the device, so per-block latency is independent of the fleet
-    size; the device's single dispatcher runs its blocks serially, and
-    co-resident blocks on a half stack their rows in the same banks.
+    A stage is `tp` consecutive devices, the first one its master, and
+    holds `per_stage` consecutive blocks (the last stage may hold
+    fewer). A one-device stage gives its blocks alternating half-device
+    channel groups; a wider stage gives every block every channel of
+    every device. Each block holds its weights and the KV cache of the
+    whole batch. Devices past the replicas are idle.
     """
-    w = max(1, n_channels // 2)
-    halves = (tuple(range(w)), tuple(range(w, min(2 * w, n_channels))))
-    return [halves[i % 2] or halves[0] for i in range(n_blocks)]
+    weights, kv1 = block_footprint(model, context)
+    block_B = weights + batch * kv1
+    # Every block of a one-device stage spans a half-device channel group,
+    # whatever the number of blocks, so per-block latency is independent
+    # of the fleet size. The device's dispatcher runs its blocks serially,
+    # and consecutive blocks alternate halves: co-resident blocks on a
+    # half stack their rows in the same banks.
+    w = max(1, arch.channels_per_device // 2)
+    halves = (tuple(range(w)),
+              tuple(range(w, min(2 * w, arch.channels_per_device)))
+              or tuple(range(w)))
+    if tp == 1:
+        # the fuller half of the device carries ceil(per_stage/2) blocks
+        stacked = (per_stage + 1) // 2
+        if stacked * block_B > w * arch.channel_capacity_B:
+            raise MappingError(
+                f"{stacked} stacked blocks of {block_B} B do not fit in "
+                f"{w} channels ({n_devices} devices, {per_stage} "
+                f"blocks/device)")
+    elif per_stage * block_B > tp * arch.device_capacity_B:
+        raise MappingError(
+            f"a stage of {per_stage} blocks of {block_B} B does not fit "
+            f"its {tp}-device group")
+
+    n_stages = math.ceil(model.n_layers / per_stage)
+    per_replica = n_stages * tp
+    full = (tuple(range(arch.channels_per_device)),) * tp
+    assignments: list[BlockAssignment] = []
+    for r in range(dp):
+        for s in range(n_stages):
+            first = r * per_replica + s * tp
+            group = tuple(range(first, first + tp))
+            for i in range(min(per_stage, model.n_layers - s * per_stage)):
+                assignments.append(BlockAssignment(
+                    block=s * per_stage + i, replica=r, devices=group,
+                    channels=(halves[i % 2],) if tp == 1 else full,
+                    master=first, footprint_B=block_B))
+    return MappingPlan(
+        strategy=strategy, model=model, n_devices=n_devices, tp_degree=tp,
+        pp_stages=pp_stages, dp_replicas=dp, batch_size=batch,
+        context=context, block_assignments=assignments,
+        idle_devices=tuple(range(dp * per_replica, n_devices)),
+        blocks_per_device=per_stage, devices_per_replica=per_replica)
 
 
 def plan_pipeline(model: ModelSpec, arch: ArchConfig, context: int,
-                  n_devices: Optional[int] = None,
-                  device_offset: int = 0, replica: int = 0) -> MappingPlan:
+                  n_devices: Optional[int] = None) -> MappingPlan:
+    """One block per pipeline stage, blocks packed onto the fewest
+    devices that `n_devices` allows; a batch of one prompt per block."""
     n_devices = n_devices or arch.n_devices
-    weights, kv1 = block_footprint(model, context)
-    batch = model.n_layers                  # one prompt per pipeline stage
-    block_B = weights + batch * kv1         # KV held for the whole batch
-    b = math.ceil(model.n_layers / n_devices)
-    w = max(1, arch.channels_per_device // 2)
-    # the fuller half of the device carries ceil(b/2) stacked blocks
-    stacked = (b + 1) // 2
-    if stacked * block_B > w * arch.channel_capacity_B:
-        raise MappingError(
-            f"{stacked} stacked blocks of {block_B} B do not fit in "
-            f"{w} channels ({n_devices} devices, {b} blocks/device)")
-
-    devices_used = math.ceil(model.n_layers / b)
-    assignments: list[BlockAssignment] = []
-    blk = 0
-    for d in range(devices_used):
-        k = min(b, model.n_layers - d * b)
-        ranges = _split_channels(arch.channels_per_device, k)
-        for i in range(k):
-            dev = device_offset + d
-            assignments.append(BlockAssignment(
-                block=blk, replica=replica, devices=(dev,),
-                channels=(ranges[i],), master=dev, footprint_B=block_B))
-            blk += 1
-
-    idle = tuple(range(device_offset + devices_used, device_offset + n_devices))
-    return MappingPlan(
-        strategy="PP", model=model, n_devices=n_devices, tp_degree=1,
-        pp_stages=model.n_layers, dp_replicas=1, batch_size=batch,
-        context=context, block_assignments=assignments, idle_devices=idle,
-        blocks_per_device=b, devices_per_replica=devices_used)
+    return _stages("PP", model, arch, context, n_devices, tp=1,
+                   per_stage=math.ceil(model.n_layers / n_devices),
+                   batch=model.n_layers, pp_stages=model.n_layers)
 
 
 def plan_tensor(model: ModelSpec, arch: ArchConfig, context: int) -> MappingPlan:
-    weights, kv1 = block_footprint(model, context)
-    group = tuple(range(arch.n_devices))
-    block_B = weights + kv1                 # batch of one prompt
-    total = model.n_layers * block_B
-    if total > arch.n_devices * arch.device_capacity_B:
-        raise MappingError("model does not fit the fleet")
-
-    channels = tuple(tuple(range(arch.channels_per_device)) for _ in group)
-    assignments = [BlockAssignment(blk, 0, group, channels, 0, block_B)
-                   for blk in range(model.n_layers)]
-    return MappingPlan(
-        strategy="TP", model=model, n_devices=arch.n_devices,
-        tp_degree=arch.n_devices, pp_stages=1, dp_replicas=1, batch_size=1,
-        context=context, block_assignments=assignments, idle_devices=(),
-        blocks_per_device=model.n_layers,
-        devices_per_replica=arch.n_devices)
+    """Every block spread over the whole fleet; a batch of one prompt."""
+    return _stages("TP", model, arch, context, arch.n_devices,
+                   tp=arch.n_devices, per_stage=model.n_layers, batch=1,
+                   pp_stages=1)
 
 
 def plan_hybrid(model: ModelSpec, arch: ArchConfig, tp: int, pp: int,
                 context: int) -> MappingPlan:
+    """`pp` pipeline stages of `tp` devices each; one prompt per stage."""
     if tp * pp > arch.n_devices:
         raise MappingError(f"tp*pp = {tp * pp} exceeds {arch.n_devices} devices")
     if model.n_layers % pp != 0:
         raise MappingError(f"{model.n_layers} blocks not divisible by pp={pp}")
-    weights, kv1 = block_footprint(model, context)
-    batch = pp
-    block_B = weights + batch * kv1
-    per_stage = model.n_layers // pp
-
-    assignments: list[BlockAssignment] = []
-    for s in range(pp):
-        group = tuple(range(s * tp, (s + 1) * tp))
-        master = group[0]
-        if tp == 1:
-            # degenerate stage: pipeline-style channel split inside the device
-            ranges = _split_channels(arch.channels_per_device, per_stage)
-            channels_for = lambda i: (ranges[i],)
-        else:
-            if per_stage * block_B > tp * arch.device_capacity_B:
-                raise MappingError("stage does not fit its device group")
-            full = tuple(tuple(range(arch.channels_per_device)) for _ in group)
-            channels_for = lambda i: full
-        for i in range(per_stage):
-            blk = s * per_stage + i
-            assignments.append(BlockAssignment(
-                blk, 0, group, channels_for(i), master, block_B))
-
-    idle = tuple(range(tp * pp, arch.n_devices))
-    return MappingPlan(
-        strategy="HYBRID", model=model, n_devices=arch.n_devices,
-        tp_degree=tp, pp_stages=pp, dp_replicas=1, batch_size=batch,
-        context=context, block_assignments=assignments, idle_devices=idle,
-        blocks_per_device=per_stage,
-        devices_per_replica=tp * pp)
+    return _stages("HYBRID", model, arch, context, arch.n_devices, tp=tp,
+                   per_stage=model.n_layers // pp, batch=pp, pp_stages=pp)
 
 
 def plan_scaled(model: ModelSpec, arch: ArchConfig, n_devices: int,
@@ -184,21 +165,10 @@ def plan_scaled(model: ModelSpec, arch: ArchConfig, n_devices: int,
     """
     context = context if context is not None else model.max_context
     b = max(2, math.ceil(model.n_layers / n_devices))
-    per_replica = math.ceil(model.n_layers / b)
-    dp = max(1, n_devices // per_replica)
-
-    assignments: list[BlockAssignment] = []
-    for r in range(dp):
-        sub = plan_pipeline(model, arch, context, n_devices=per_replica,
-                            device_offset=r * per_replica, replica=r)
-        assignments.extend(sub.block_assignments)
-    idle = tuple(range(dp * per_replica, n_devices))
-    return MappingPlan(
-        strategy="PP+DP" if dp > 1 else "PP", model=model,
-        n_devices=n_devices, tp_degree=1, pp_stages=model.n_layers,
-        dp_replicas=dp, batch_size=model.n_layers, context=context,
-        block_assignments=assignments, idle_devices=idle,
-        blocks_per_device=b, devices_per_replica=per_replica)
+    dp = max(1, n_devices // math.ceil(model.n_layers / b))
+    return _stages("PP+DP" if dp > 1 else "PP", model, arch, context,
+                   n_devices, tp=1, per_stage=b, batch=model.n_layers,
+                   pp_stages=model.n_layers, dp=dp)
 
 
 @dataclass(frozen=True)

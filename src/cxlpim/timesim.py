@@ -154,26 +154,9 @@ class SimReport:
     channel_utilization: dict     # device -> {channel: busy fraction}
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "n_active_devices": self.n_active_devices,
-            "dp_replicas": self.dp_replicas,
-            "batch_size": self.batch_size,
-            "prefill_tokens": self.prefill_tokens,
-            "decode_tokens": self.decode_tokens,
-            "seq_gap": self.seq_gap,
-            "token_latency_ns": self.token_latency_ns,
-            "token_step_ns": self.token_step_ns,
-            "prefill_ns": self.prefill_ns,
-            "decode_ns": self.decode_ns,
-            "tokens_per_s": self.tokens_per_s,
-            "breakdown_ns": dict(self.breakdown_ns),
-            "command_counts": {k: self.command_counts[k]
-                               for k in sorted(self.command_counts)},
-            "flops_per_token": self.flops_per_token,
-            "mac_microops_per_token": self.mac_microops_per_token,
-            "channel_utilization": self.channel_utilization,
-        }
+        # shallow: asdict's deep copy of the per-channel table would double
+        # the cost of saving a 70B report
+        return dict(vars(self))
 
     def save(self, path) -> None:
         Path(path).write_text(

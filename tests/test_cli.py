@@ -119,6 +119,28 @@ def test_functional_simulation_error_exits_2(monkeypatch, capsys):
         "error: functional simulation: deadlock\n")
 
 
+@pytest.mark.parametrize("argv, note", [
+    (["verify", "--model", "mid", "--devices", "2", "--pos", "5"],
+     "note: device 1 of 2 idle\n"),
+    (["simulate", *TOY_ARGS], "note: devices 2-31 of 32 idle\n"),
+    (["compile", "--model", "llama2_70b", "--strategy", "tp", "--pos", "0",
+      "--out", "out"], ""),
+])
+def test_idle_devices_named_in_one_note(argv, note, capsys, tmp_path,
+                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == note
+
+
+@pytest.mark.parametrize("devices", ["0", "-1"])
+def test_nonpositive_devices_rejected(devices, capsys):
+    assert cli.main(["simulate", "--model", "toy", "--devices", devices,
+                     "--prefill", "0", "--decode", "4"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --devices must be positive, got {devices}\n")
+
+
 def test_simulate_writes_artifacts(tmp_path, capsys):
     rc = cli.main(["simulate", *TOY_ARGS, "--out", str(tmp_path)])
     assert rc == 0
@@ -216,6 +238,15 @@ def test_sweep_identical_specs_give_identical_rows(tmp_path):
     assert len(rows) == 2
     assert rows[0] == rows[1]
     assert rows[0].startswith("toy,32,PP,1,2,1,2,")
+
+
+def test_sweep_rows_print_no_idle_note(tmp_path, capsys):
+    # the toy's 2 blocks leave 30 of 32 devices idle; a sweep's stderr
+    # carries failed rows only
+    spec = write_spec(tmp_path, [TOY_SPEC])
+    out = tmp_path / "out.csv"
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_sweep_empty_spec_list_writes_header_only(tmp_path):

@@ -491,7 +491,7 @@ def test_tensor_parallel_compiles_and_gathers():
     ("MAC_ABK", (1, 4, 0, 0), {}),                         # operand count
     ("MAC_ABK", (1, 4, ARCH.rows_per_bank, 0, 0), {}),     # RO
     ("RD_MAC", (0, 40, 0), {}),                            # empty CHmask
-    ("WR_GB", (1, 1, ARCH.gb_slots, 0), {}),               # GB slot
+    ("WR_GB", (1, 1, ROW_SLOTS, 0), {}),                   # GB slot
     ("RED", (4, 0, 8), {"red_mode": "MIN"}),
     ("MAC_ABK", (1, 4, 0, 0, 0), {"source_select": "DRAM"}),
     ("MAC_ABK", (1, 10, 0, 60, 0), {}),                    # past the row

@@ -78,7 +78,7 @@ def test_derived_capacities():
     assert LANE * 2 == WORD_B             # 16 BF16 lanes per 256-bit word
     assert ROW_SLOTS * WORD_B == 2 * 1024  # 2 KB rows
     assert arch.rows_per_bank == 16384
-    assert arch.gb_slots == 64
+    assert ROW_SLOTS == 64                # Global Buffer slots
     assert arch.sb_slots == 2048
 
 
@@ -90,7 +90,7 @@ DELETED_FIELDS = {
     "banks_per_channel": 16, "bank_groups": 4,
     "instruction_buffer_B": 2 * 1024 * 1024, "n_accumulators": 32,
     "n_reduction_trees": 32, "n_exp_units": 32, "cxl.host_link_lanes": 16,
-    "pu_clock_Hz": 1e9,
+    "pu_clock_Hz": 1e9, "global_buffer_B": 2 * 1024,
     "timing.rv_cycles": {"recip": 20, "rsqrt": 24, "rope_pack": 2,
                          "rope_unpack": 2},
 }

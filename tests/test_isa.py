@@ -94,7 +94,7 @@ def test_expand_row_overflow_rejected():
 @pytest.mark.parametrize("opcode, name, limit, match", [
     ("EW_MUL", "CO", ROW_SLOTS, "cross the row boundary"),
     ("RD_SBK", "CO", ROW_SLOTS, "cross the row boundary"),
-    ("WR_GB", "CO", CFG.gb_slots, "exceed Global Buffer"),
+    ("WR_GB", "CO", ROW_SLOTS, "exceed Global Buffer"),
     ("WR_GB", "Rs", CFG.sb_slots, "Rs=2040 run of 9 exceeds Shared Buffer"),
     ("ACC", "Rd", CFG.sb_slots, "Rd=2040 run of 9 exceeds Shared Buffer"),
     ("RED", "Rs", CFG.sb_slots, "Rs=2040 run of 9 exceeds Shared Buffer"),

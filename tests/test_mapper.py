@@ -1,9 +1,10 @@
+import dataclasses
 from collections import Counter
 
 import pytest
 
 from cxlpim import compiler
-from cxlpim.config import ArchConfig, ModelSpec
+from cxlpim.config import ArchConfig, ModelSpec, block_footprint
 from cxlpim.mapper import (
     MappingError, comm_volume, plan_hybrid, plan_pipeline, plan_scaled,
     plan_tensor,
@@ -189,3 +190,92 @@ def test_plan_save_round_trip(tmp_path):
     assert d["strategy"] == "PP"
     assert d["batch_size"] == 32
     assert len(d["block_assignments"]) == 32
+
+
+def test_hybrid_tp1_capacity_checked():
+    """A one-device hybrid stage obeys the pipeline's stacked-half rule:
+    at 32k context, 4 blocks per device stack 2 on a 16-channel half,
+    with the KV of 8 prompts each, which does not fit."""
+    model = dataclasses.replace(LLAMA_7B, max_context=32768)
+    with pytest.raises(MappingError, match="do not fit"):
+        plan_hybrid(model, ARCH, tp=1, pp=8, context=32768)
+
+
+def _fits(plan, arch):
+    """The capacity rule, re-derived from the assignments: one-device
+    blocks stack on the fuller half of their device, and a wider
+    stage's blocks share its devices' whole capacity."""
+    half = arch.channels_per_device // 2
+    per_unit = Counter()
+    for a in plan.block_assignments:
+        if len(a.devices) == 1:
+            assert len(a.channels[0]) == half
+            per_unit[(a.devices, a.channels[0])] += a.footprint_B
+        else:
+            assert a.channels == (tuple(range(arch.channels_per_device)),
+                                  ) * len(a.devices)
+            per_unit[(a.devices, None)] += a.footprint_B
+    for (devices, channels), used in per_unit.items():
+        limit = (len(channels) * arch.channel_capacity_B if channels
+                 else len(devices) * arch.device_capacity_B)
+        assert used <= limit
+
+
+def _check_layout(plan, arch):
+    model = plan.model
+    weights, kv1 = block_footprint(model, plan.context)
+    replicas = {}
+    for a in plan.block_assignments:
+        replicas.setdefault(a.replica, []).append(a)
+        assert a.footprint_B == weights + plan.batch_size * kv1
+        assert a.master == a.devices[0]
+        assert a.devices == tuple(range(a.devices[0],
+                                        a.devices[0] + plan.tp_degree))
+        assert len(a.channels) == len(a.devices)
+    assert sorted(replicas) == list(range(plan.dp_replicas))
+    groups = []
+    for assigned in replicas.values():
+        # each block exactly once per replica, in order
+        assert [a.block for a in assigned] == list(range(model.n_layers))
+        for a in assigned:
+            if not groups or groups[-1] != a.devices:
+                groups.append(a.devices)
+    # stage groups are disjoint and follow each other without gaps
+    flat = [d for g in groups for d in g]
+    assert flat == list(range(len(flat)))
+    active = set(plan.active_devices)
+    assert active == set(flat)
+    assert sorted(active | set(plan.idle_devices)) == list(
+        range(plan.n_devices))
+    assert not active & set(plan.idle_devices)
+    _fits(plan, arch)
+
+
+def _accepted(build):
+    try:
+        return build()
+    except MappingError:
+        return None
+
+
+@pytest.mark.parametrize("ctx", [2048, 4096])
+@pytest.mark.parametrize("model", [LLAMA_7B, LLAMA_13B, LLAMA_70B],
+                         ids=lambda m: m.name)
+def test_every_plan_obeys_the_layout_rules(model, ctx):
+    """Every accepted pipeline (1-32 devices), hybrid (tp*pp <= 32),
+    tensor and scaled (1-80 devices) plan is a set of replicas of
+    contiguous, disjoint stage groups that fits its devices."""
+    arch = ARCH
+    builds = [lambda n=n: plan_pipeline(model, arch, ctx, n_devices=n)
+              for n in range(1, 33)]
+    builds += [lambda tp=tp, pp=pp: plan_hybrid(model, arch, tp=tp, pp=pp,
+                                               context=ctx)
+               for tp in range(1, 33) for pp in range(1, 33 // tp + 1)
+               if model.n_layers % pp == 0]
+    builds.append(lambda: plan_tensor(model, arch, ctx))
+    builds += [lambda n=n: plan_scaled(model, arch, n, context=ctx)
+               for n in range(1, 81)]
+    plans = [p for p in map(_accepted, builds) if p is not None]
+    assert plans
+    for plan in plans:
+        _check_layout(plan, arch)
