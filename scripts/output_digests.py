@@ -10,9 +10,9 @@ The runs are `cxlpim simulate --out` on:
   * llama2-7B pipelined over 8 devices (seq-gap 128),
 
 `cxlpim compile --out` on llama2-70B tensor parallel (position 2048),
-on toy over 2 devices and on llama2-70B scaled over 80 devices (two
-pipeline replicas, context 2048), and `cxlpim sweep` over a small spec
-list.
+on toy over 2 devices, on llama2-70B scaled over 80 devices (two
+pipeline replicas, context 2048) and on llama2-70B hybrid tp4 x pp8
+(position 2048), and `cxlpim sweep` over a small spec list.
 Each runs in this process through `cli.main`, against the `src/` next
 to this script, so two checkouts can be compared line by line:
 
@@ -57,6 +57,8 @@ COMPILE = {
     "compile-toy-2": ["--model", "toy", "--devices", "2"],
     "compile-scaled70b-80": ["--model", "llama2_70b", "--strategy", "scaled",
                              "--devices", "80", "--context", "2048"],
+    "compile-hybrid70b": ["--model", "llama2_70b", "--strategy", "hybrid",
+                          "--tp", "4", "--pp", "8", "--pos", "2048"],
 }
 
 SWEEP = [

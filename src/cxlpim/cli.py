@@ -23,7 +23,6 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from types import SimpleNamespace
 
 from . import compiler, energycost, isa, mapper, timesim
 from .config import (CONFIGS_DIR, ArchConfig, ConfigError, ModelSpec,
@@ -338,11 +337,8 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _save_run_artifacts(out: Path, rep, er, tco, ratios) -> None:
+def _save_run_artifacts(out: Path, er, tco, ratios) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    rep_path = out / "report.json"
-    if hasattr(rep, "save"):
-        rep.save(rep_path)
     er.save(out / "energy.json")
     tco.save(out / "tco.json")
     if ratios is not None:
@@ -384,7 +380,8 @@ def _cmd_simulate(args) -> int:
     ratios = _ratios(rep.tokens_per_s, er, tco, _gpu_reference(args, arch))
     if args.out:
         out = Path(args.out)
-        _save_run_artifacts(out, rep, er, tco, ratios)
+        _save_run_artifacts(out, er, tco, ratios)
+        rep.save(out / "report.json")
         plan.save(out / "plan.json")
     print(f"{model.name} {plan.strategy}: {rep.tokens_per_s:.1f} tokens/s, "
           f"{1.0 / er.tokens_per_J:.3f} J/token, "
@@ -397,10 +394,14 @@ def _cmd_simulate(args) -> int:
 def _cmd_report(args) -> int:
     model, arch = _load_configs(args.model, args.arch, args.set)
     data = json.loads(Path(args.report).read_text())
-    rep = SimpleNamespace(**data)
+    try:
+        rep = timesim.SimReport(**data)
+    except TypeError as e:
+        raise CliError(f"{args.report}: not a saved simulate report "
+                       f"({e})") from e
     er, tco = _price(rep, arch)
     ratios = _ratios(rep.tokens_per_s, er, tco, _gpu_reference(args, arch))
-    _save_run_artifacts(Path(args.out), rep, er, tco, ratios)
+    _save_run_artifacts(Path(args.out), er, tco, ratios)
     print(f"energy/tco artifacts written to {args.out}")
     return 0
 
@@ -409,6 +410,9 @@ def _cmd_sweep(args) -> int:
     specs = json.loads(Path(args.spec).read_text())
     if not isinstance(specs, list):
         raise CliError(f"{args.spec}: top level must be a list of specs")
+    for i, spec in enumerate(specs):
+        if not isinstance(spec, dict):
+            raise CliError(f"{args.spec}: spec {i} is not an object")
     failures = run_sweep(specs, args.out, workers=args.workers)
     if failures:
         print(f"{failures} row(s) failed", file=sys.stderr)

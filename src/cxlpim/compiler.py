@@ -14,8 +14,9 @@ register batch, so partial sums never spill. These numbers are the
 device's fixed geometry, imported from config (LANE, ROW_SLOTS, REGS,
 BANK_GROUPS); only capacities, counts and clocks come from ArchConfig.
 
-Traces are emitted through a sink as an opcode and its operand tuple.
-Both sinks keep instruction/micro-op counters and per-channel activity
+The lowering emits straight into a sink: `i` takes an opcode and its
+operands, and `riscv` a RISC-V routine, which gets the next PC of the
+sink's routine table. Both sinks keep instruction/micro-op counters and per-channel activity
 statistics (for timing and energy), counted from the operand tuple by a
 per-opcode plan that reads isa.MICROOP_RULES, the micro-op rule of
 isa.microop_count. ListSink also builds each instruction with
@@ -42,18 +43,20 @@ Inside the core, query heads that share a KV head (grouped-query
 attention) differ only in the Shared Buffer slots they read q from and
 write their output to. Everything between (the score pass, softmax and
 the score x V pass) reads only the KV head's placement, the position
-and the channel's scratch row, so it is lowered once per KV head and
-position into a segment sink and appended for each of its query heads,
-in list and count mode alike.
+and the channel's scratch row, so it is the same for each of the KV
+head's query heads. Across a tensor-parallel group, the devices other
+than the master mostly run the same per-device pieces: their GEMV
+shares, the fused gate/up pass, the RECV_CXL runs of broadcasts and
+gathers, and the SEND_CXL run of the down-projection gather.
 
-Across a tensor-parallel group, the devices other than the master mostly
-run the same per-device pieces: their GEMV shares, the fused gate/up
-pass, the RECV_CXL runs of broadcasts and gathers, and the SEND_CXL run
-of the down-projection gather. BlockLowering lowers each distinct piece
-once, keyed by everything its lowering reads, and appends it to every
-device whose piece has that key. A llama2-70B TP block emits about 16k
-of the 260k instructions its 32 devices count. Shared pieces emit no
-RISCV, because PCs index each device's own routine table.
+Both kinds of piece go through one memo per block and position,
+BlockLowering._shared: it lowers each distinct piece once into a
+segment sink, keyed by everything its lowering reads, and appends it
+wherever a piece has that key, in list and count mode alike. A
+llama2-70B TP block emits about 16k of the 260k instructions its 32
+devices count. A piece that emits RISCV (an attention body) is appended
+only to the device it was lowered for, because PCs index each device's
+own routine table.
 """
 
 from __future__ import annotations
@@ -361,7 +364,7 @@ _COUNT_PLAN = {op: _count_plan(op) for op in isa.OPCODE_FIELDS}
 class CountSink:
     """Accumulates activity counters; never materializes instructions.
 
-    `emit` checks each instruction against the opcode's compiled
+    `i` checks each instruction against the opcode's compiled
     operand predicate (`isa.check_operands`' own, so the same rules and
     messages) and counts it straight from its operand tuple, so no
     `Instruction` is built.
@@ -385,6 +388,7 @@ class CountSink:
         self._open: dict = {}          # ch -> [row, cols] of last bracket
         self._first: dict = {}         # ch -> [row, cols] of first bracket
         self._rules = isa._operand_rules(cfg)
+        self._routines: dict = {}      # (kind, params) -> pc
 
     def begin_op(self, name: str) -> None:
         self.summary.operators[name] += 1
@@ -399,14 +403,36 @@ class CountSink:
         are emitted and counted as usual; this is what timing prices."""
         self.summary.collectives[(kind, fan_in, sender_B)] += 1
 
-    def emit(self, opcode: str, operands: tuple,
-             riscv_kind: Optional[str] = None, **flags) -> None:
+    def i(self, opcode: str, *operands,
+          riscv_kind: Optional[str] = None, **flags) -> None:
         """Count one instruction given as its opcode, its operands in
         OPCODE_FIELDS order and make_instruction's keyword flags."""
         rule = self._rules.get(opcode)
         if flags or rule is None or not rule.accepts(operands):
             isa.check_operands(opcode, operands, cfg=self.cfg, **flags)
         self._count(opcode, operands, riscv_kind)
+
+    def riscv(self, kind: str, opsize: int, rd: int, rs: int,
+              params: tuple = ()) -> None:
+        """Emit a RISCV instruction running routine `kind` with `params`;
+        each distinct routine takes the next PC of the routine table."""
+        if kind not in isa.RV_ROUTINES:
+            raise CompileError(f"unknown RISC-V routine {kind!r}")
+        pc = self._routines.setdefault((kind, params), len(self._routines))
+        self.i("RISCV", opsize, pc, rd, rs, riscv_kind=kind)
+
+    def segment(self) -> "CountSink":
+        """A fresh sink of this one's class that shares its routine
+        table, for a segment appended here later (or, if it emits no
+        RISCV, to other devices' sinks as well)."""
+        seg = type(self)(self.device, self.cfg)
+        seg._routines = self._routines
+        return seg
+
+    @property
+    def routines(self) -> dict:
+        """pc -> (kind, params) of every routine emitted so far."""
+        return {pc: key for key, pc in self._routines.items()}
 
     def _count(self, op: str, operands: tuple,
                riscv_kind: Optional[str]) -> None:
@@ -505,7 +531,7 @@ class CountSink:
 
 class ListSink(CountSink):
     """Materializes the instruction stream alongside the counters:
-    `emit` builds each instruction with `isa.make_instruction` (which
+    `i` builds each instruction with `isa.make_instruction` (which
     checks it), counts its operands as `CountSink` does and keeps
     it."""
 
@@ -522,8 +548,8 @@ class ListSink(CountSink):
         name, start = self._op_stack.pop()
         self.annotations.append((name, start, len(self.instructions)))
 
-    def emit(self, opcode: str, operands: tuple,
-             riscv_kind: Optional[str] = None, **flags) -> None:
+    def i(self, opcode: str, *operands,
+          riscv_kind: Optional[str] = None, **flags) -> None:
         inst = make_instruction(opcode, *operands, cfg=self.cfg, **flags)
         self._count(opcode, inst.operands, riscv_kind)
         self.instructions.append(inst)
@@ -753,47 +779,24 @@ def build_layout(model: ModelSpec, plan: MappingPlan,
 # ---------------------------------------------------------------------------
 # emission
 
-class Emitter:
-    def __init__(self, sink: CountSink, cfg: ArchConfig):
-        self.sink = sink
-        self.cfg = cfg
-        self._routines: dict = {}       # (kind, params) -> pc
-
-    def i(self, opcode: str, *ops, **kw) -> None:
-        if kw:
-            self.sink.emit(opcode, ops, **kw)
-        else:
-            self.sink.emit(opcode, ops)
-
-    def riscv(self, kind: str, opsize: int, rd: int, rs: int,
-              params: tuple = ()) -> None:
-        if kind not in isa.RV_ROUTINES:
-            raise CompileError(f"unknown RISC-V routine {kind!r}")
-        key = (kind, params)
-        pc = self._routines.get(key)
-        if pc is None:
-            pc = len(self._routines)
-            self._routines[key] = pc
-        self.sink.emit("RISCV", (opsize, pc, rd, rs), riscv_kind=kind)
-
-    def segment(self) -> "Emitter":
-        """Emitter into a fresh sink of this one's class that shares this
-        emitter's routine table, for a segment appended here later (or,
-        if it emits no RISCV, to other devices' sinks as well)."""
-        seg = Emitter(type(self.sink)(self.sink.device, self.cfg), self.cfg)
-        seg._routines = self._routines
-        return seg
-
-    @property
-    def routines(self) -> dict:
-        return {pc: key for key, pc in self._routines.items()}
-
-
 def _chmask(channels) -> int:
     m = 0
     for c in channels:
         m |= 1 << c
     return m
+
+
+def _sbk_run(sink: CountSink, op: str, ch: int, bank: int, row: int,
+             col: int, n: int, slot: int) -> None:
+    """`op` (WR_SBK or RD_SBK) between `n` Shared Buffer slots from
+    `slot` on and `bank`'s columns from `col` of `row` on, where `col`
+    may run past the row: one instruction per DRAM row it touches."""
+    end = col + n
+    while col < end:
+        w = min(ROW_SLOTS - col % ROW_SLOTS, end - col)
+        sink.i(op, ch, w, bank, row + col // ROW_SLOTS, col % ROW_SLOTS, slot)
+        col += w
+        slot += w
 
 
 @dataclass
@@ -802,7 +805,7 @@ class GemvJob:
     out_base: int        # result slot for row group j is out_base + j
 
 
-def emit_gemv(em: Emitter, jobs: list[GemvJob], vec_src: tuple,
+def emit_gemv(sink: CountSink, jobs: list[GemvJob], vec_src: tuple,
               sb_zero: int) -> None:
     """Shared GEMV loop: register batches x input tiles.
 
@@ -833,22 +836,22 @@ def emit_gemv(em: Emitter, jobs: list[GemvJob], vec_src: tuple,
                 reps = max(job.placement.loc(j, t)[1] // s
                            for c in live for job, j in batch[c]) + 1
                 for r in range(reps):
-                    em.i("WR_GB", mask, s, r * s,
-                         vec_src[1] + t * ROW_SLOTS)
+                    sink.i("WR_GB", mask, s, r * s,
+                           vec_src[1] + t * ROW_SLOTS)
             else:
                 if pl0.runs_per_row > 1:
                     raise CompileError("bank-streamed input cannot feed "
                                        "packed matrix rows")
-                em.i("COPY_BKGB", mask, s, vec_src[1] + t, 0)
+                sink.i("COPY_BKGB", mask, s, vec_src[1] + t, 0)
             for c in live:
                 for idx, (job, j) in enumerate(batch[c]):
                     row, co, _ = job.placement.loc(j, t)
                     if t == 0:
-                        em.i("WR_BIAS", 1 << c, sb_zero)
-                    em.i("MAC_ABK", 1 << c, s, row, co, idx)
+                        sink.i("WR_BIAS", 1 << c, sb_zero)
+                    sink.i("MAC_ABK", 1 << c, s, row, co, idx)
         for c in live:
             for idx, (job, j) in enumerate(batch[c]):
-                em.i("RD_MAC", 1 << c, job.out_base + j, idx)
+                sink.i("RD_MAC", 1 << c, job.out_base + j, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -859,64 +862,68 @@ class BlockLowering:
 
     In a tensor-parallel group most devices run the same per-device
     pieces: a GEMV share, the fused gate/up pass, runs of RECV_CXL and
-    the SEND_CXL run of the down-projection gather. `_shared` lowers
-    each distinct piece once into a segment sink, keyed by everything
-    its lowering reads, and appends it to every device whose piece has
+    the SEND_CXL run of the down-projection gather. On the master, the
+    query heads of one KV head run the same attention body. `_shared`
+    lowers each distinct piece once into a segment sink, keyed by
+    everything its lowering reads, and appends it wherever a piece has
     that key. The memo lives only as long as this object (one block at
-    one position, or one block segment). A shared piece emits no RISCV,
-    because PCs index each device's own routine table.
+    one position, or one block segment).
     """
 
     def __init__(self, layout: Layout, bl: BlockLayout, position: int,
-                 emitters: dict):
+                 sinks: dict):
         self.L = layout
         self.bl = bl
         self.pos = position
-        self.em = emitters                       # device -> Emitter
+        self.sinks = sinks                       # device -> sink
         self.model = layout.model
         self.cfg = layout.arch
         self.sb = layout.sb
         self.tp = len(bl.tp_group)
         self.master = bl.master
-        self.me = emitters[bl.master]
+        self.ms = sinks[bl.master]
         self._pieces: dict = {}                  # key -> segment sink
 
     def _begin(self, name: str) -> None:
         for d in self.bl.tp_group:
-            self.em[d].sink.begin_op(name)
+            self.sinks[d].begin_op(name)
 
     def _end(self) -> None:
         for d in self.bl.tp_group:
-            self.em[d].sink.end_op()
+            self.sinks[d].end_op()
 
     def _d_slots(self) -> int:
         return slots_of(self.model.d_model)
 
-    # -- per-device pieces shared across a tensor-parallel group ----------
+    # -- pieces lowered once and appended many times -----------------------
 
     def _shared(self, dev: int, key: tuple, lower) -> None:
-        """Append to `dev`'s sink what `lower(emitter)` emits. It is
+        """Append to `dev`'s sink what `lower(sink)` emits. It is
         lowered into a segment on the first device with this `key`,
         which must hold everything `lower` reads, and appended as is for
-        every later one."""
+        every later one. A piece that emits RISCV may be appended only
+        to the device whose routine table it was lowered with, since its
+        PCs index that table."""
+        sink = self.sinks[dev]
         seg = self._pieces.get(key)
         if seg is None:
-            em = self.em[dev].segment()
-            lower(em)
-            seg = self._pieces[key] = em.sink
-            assert "RISCV" not in seg.summary.instructions, key
-        self.em[dev].sink.append(seg)
+            seg = self._pieces[key] = sink.segment()
+            lower(seg)
+        assert (seg._routines is sink._routines
+                or "RISCV" not in seg.summary.instructions), key
+        sink.append(seg)
 
     def _gemv(self, dev: int, jobs: list[GemvJob], vec_src: tuple) -> None:
         zero = self.sb.zero
         key = ("gemv", tuple((j.placement.geometry, j.out_base)
                              for j in jobs), vec_src, zero)
-        self._shared(dev, key, lambda em: emit_gemv(em, jobs, vec_src, zero))
+        self._shared(dev, key,
+                     lambda sink: emit_gemv(sink, jobs, vec_src, zero))
 
     def _recv(self, dev: int, n: int) -> None:
-        def lower(em):
+        def lower(sink):
             for _ in range(n):
-                em.i("RECV_CXL")
+                sink.i("RECV_CXL")
         self._shared(dev, ("RECV_CXL", n), lower)
 
     # -- collectives -------------------------------------------------------
@@ -925,9 +932,9 @@ class BlockLowering:
         """Master broadcasts n Shared Buffer slots to the group."""
         if self.tp == 1:
             return
-        self.me.sink.collective("MULTICAST", self.tp - 1, n * WORD_B)
+        self.ms.collective("MULTICAST", self.tp - 1, n * WORD_B)
         for i in range(n):
-            self.me.i("BCAST_CXL", self.tp - 1, base + i, base + i)
+            self.ms.i("BCAST_CXL", self.tp - 1, base + i, base + i)
         for dev in self.bl.tp_group:
             if dev != self.master:
                 self._recv(dev, n)
@@ -943,11 +950,11 @@ class BlockLowering:
             pl = self.bl.placements[name][dev]
             first = pl.row_offset // LANE
             for g in range(pl.n_groups):
-                self.em[dev].i("SEND_CXL", self.master, sender_base + g,
-                               out + first + g)
+                self.sinks[dev].i("SEND_CXL", self.master, sender_base + g,
+                                  out + first + g)
             self._recv(self.master, pl.n_groups)
         # build_layout splits every FC into equal shares
-        self.me.sink.collective("GATHER", self.tp - 1, pl.n_groups * WORD_B)
+        self.ms.collective("GATHER", self.tp - 1, pl.n_groups * WORD_B)
 
     def _gather_accumulate(self, out: int, sender_base: int) -> None:
         """Down-projection partial sums: stage each sender's full vector
@@ -957,18 +964,18 @@ class BlockLowering:
         if self.tp == 1:
             return
         n, master, stage = self._d_slots(), self.master, self.sb.rms
-        self.me.sink.collective("GATHER", self.tp - 1, n * WORD_B)
+        self.ms.collective("GATHER", self.tp - 1, n * WORD_B)
 
-        def send(em):
+        def send(sink):
             for g in range(n):
-                em.i("SEND_CXL", master, sender_base + g, stage + g)
+                sink.i("SEND_CXL", master, sender_base + g, stage + g)
         for dev in self.bl.tp_group:
             if dev == master:
                 continue
             self._shared(dev, ("SEND_CXL", master, sender_base, stage, n),
                          send)
             self._recv(master, n)
-            self.me.i("ACC", n, out, stage)
+            self.ms.i("ACC", n, out, stage)
 
     # -- block segments ----------------------------------------------------
     # A block is before_core, attention_core, after_core. Only the core
@@ -988,7 +995,7 @@ class BlockLowering:
 
     def rmsnorm(self, w_name: str) -> None:
         self._begin("rmsnorm")
-        m, sb, em = self.model, self.sb, self.me
+        m, sb, sink = self.model, self.sb, self.ms
         ch = self.bl.norm_channel
         S = self._d_slots()
         pairs = BANKS // 2
@@ -997,60 +1004,37 @@ class BlockLowering:
         # the pair so the pair dot product accumulates x*x
         for p in range(pairs):
             seg = min(pair_slots, S - p * pair_slots)
-            if seg <= 0:
-                break
             for bank in (2 * p, 2 * p + 1):
-                off = 0
-                while off < seg:
-                    n = min(ROW_SLOTS - off % ROW_SLOTS, seg - off)
-                    em.i("WR_SBK", ch, n, bank,
-                         self.bl.rms_input_row + off // ROW_SLOTS,
-                         off % ROW_SLOTS, sb.hidden + p * pair_slots + off)
-                    off += n
-        em.i("WR_BIAS", 1 << ch, sb.zero)
+                _sbk_run(sink, "WR_SBK", ch, bank, self.bl.rms_input_row, 0,
+                         seg, sb.hidden + p * pair_slots)
+        sink.i("WR_BIAS", 1 << ch, sb.zero)
         for r in range(-(-pair_slots // ROW_SLOTS)):
             n = min(ROW_SLOTS, pair_slots - r * ROW_SLOTS)
-            em.i("MAC_ABK", 1 << ch, n, self.bl.rms_input_row + r, 0, 0,
-                 source_select="BANK")
-        em.i("RD_MAC", 1 << ch, sb.tmp, 0)
-        em.i("RED", 1, sb.tmp + 1, sb.tmp)
+            sink.i("MAC_ABK", 1 << ch, n, self.bl.rms_input_row + r, 0, 0,
+                   source_select="BANK")
+        sink.i("RD_MAC", 1 << ch, sb.tmp, 0)
+        sink.i("RED", 1, sb.tmp + 1, sb.tmp)
         # every element is counted twice (both banks of its pair)
-        em.riscv("rms_finalize", 1, sb.tmp + 2, sb.tmp + 1,
-                 params=(m.d_model, 1e-5, 2))
-        em.riscv("scale", S, sb.rms, sb.hidden, params=(sb.tmp + 2,))
+        sink.riscv("rms_finalize", 1, sb.tmp + 2, sb.tmp + 1,
+                   params=(m.d_model, 1e-5, 2))
+        sink.riscv("scale", S, sb.rms, sb.hidden, params=(sb.tmp + 2,))
         # learned per-element weights via a bank-group triple pass
         wp = self.bl.placements[w_name][self.master]
         q = wp.quarter
         for g in range(BANK_GROUPS):
-            seg = min(q, S - g * q)
-            if seg <= 0:
-                break
-            off = 0
-            while off < seg:
-                n = min(ROW_SLOTS - off % ROW_SLOTS, seg - off)
-                em.i("WR_SBK", ch, n, BANK_GROUPS * g + 1,
-                     wp.base_row + off // ROW_SLOTS, off % ROW_SLOTS,
-                     sb.rms + g * q + off)
-                off += n
+            _sbk_run(sink, "WR_SBK", ch, BANK_GROUPS * g + 1, wp.base_row, 0,
+                     min(q, S - g * q), sb.rms + g * q)
         for r in range(wp.rows_needed):
-            em.i("EW_MUL", 1 << ch, min(ROW_SLOTS, q - r * ROW_SLOTS),
-                 wp.base_row + r, 0)
+            sink.i("EW_MUL", 1 << ch, min(ROW_SLOTS, q - r * ROW_SLOTS),
+                   wp.base_row + r, 0)
         for g in range(BANK_GROUPS):
-            seg = min(q, S - g * q)
-            if seg <= 0:
-                break
-            off = 0
-            while off < seg:
-                n = min(ROW_SLOTS - off % ROW_SLOTS, seg - off)
-                em.i("RD_SBK", ch, n, BANK_GROUPS * g + 2,
-                     wp.base_row + off // ROW_SLOTS, off % ROW_SLOTS,
-                     sb.rms + g * q + off)
-                off += n
+            _sbk_run(sink, "RD_SBK", ch, BANK_GROUPS * g + 2, wp.base_row, 0,
+                     min(q, S - g * q), sb.rms + g * q)
         self._end()
 
     def rope(self, base_slot: int, n_heads: int) -> None:
         """Rotate n_heads head vectors in place on the master."""
-        m, sb, em = self.model, self.sb, self.me
+        m, sb, sink = self.model, self.sb, self.ms
         ch = self.bl.norm_channel
         dh = slots_of(m.d_head)
         per_row = ROW_SLOTS // dh
@@ -1058,15 +1042,15 @@ class BlockLowering:
         co = (self.pos % per_row) * dh
         for h in range(n_heads):
             x = base_slot + h * dh
-            em.riscv("rope_pack", dh, sb.tmp, x)   # pairwise swap-negate
+            sink.riscv("rope_pack", dh, sb.tmp, x)   # pairwise swap-negate
             # bank-group triples: group 0 multiplies x by the cos
             # table, group 1 the packed x by the sin table
             for g, src in enumerate((x, sb.tmp)):
-                em.i("WR_SBK", ch, dh, BANK_GROUPS * g + 1, row, co, src)
-            em.i("EW_MUL", 1 << ch, dh, row, co)
+                sink.i("WR_SBK", ch, dh, BANK_GROUPS * g + 1, row, co, src)
+            sink.i("EW_MUL", 1 << ch, dh, row, co)
             for g, dst in enumerate((sb.tmp, sb.tmp + dh)):
-                em.i("RD_SBK", ch, dh, BANK_GROUPS * g + 2, row, co, dst)
-            em.riscv("rope_combine", dh, x, sb.tmp, params=(dh,))
+                sink.i("RD_SBK", ch, dh, BANK_GROUPS * g + 2, row, co, dst)
+            sink.riscv("rope_combine", dh, x, sb.tmp, params=(dh,))
 
     def qkv(self) -> None:
         """Opens the attention operator: the fused Q/K/V projections."""
@@ -1102,7 +1086,7 @@ class BlockLowering:
         head, into a segment of the master's sink class, and appended
         for every query head between that head's own prologue and
         epilogue."""
-        m, sb, em = self.model, self.sb, self.me
+        m, sb, sink = self.model, self.sb, self.ms
         kvS = slots_of(m.n_kv_heads * m.d_head)
         dh = slots_of(m.d_head)
         self.rope(sb.qkv, m.n_heads)
@@ -1113,16 +1097,15 @@ class BlockLowering:
             ch = kv.channel
             # append this token's K row and V lane before the score pass
             krow, kco = kv.k_loc(self.pos // LANE)
-            em.i("WR_SBK", ch, dh, self.pos % LANE, krow, kco,
-                 sb.kv_new + kv.kv_head * dh)
+            sink.i("WR_SBK", ch, dh, self.pos % LANE, krow, kco,
+                   sb.kv_new + kv.kv_head * dh)
             for g in range(dh):
                 vrow, vco, lane = kv.v_loc(g, self.pos)
-                em.i("WR_ABK", ch, vrow, vco,
-                     sb.kv_new + kvS + kv.kv_head * dh + g, lane)
-            body = None
+                sink.i("WR_ABK", ch, vrow, vco,
+                       sb.kv_new + kvS + kv.kv_head * dh + g, lane)
             for hq in range(heads_per_kv):
-                body = self._head_attention(
-                    kv, kv.kv_head * heads_per_kv + hq, n_groups, body)
+                self._head_attention(kv, kv.kv_head * heads_per_kv + hq,
+                                     n_groups)
 
     def o_proj(self) -> None:
         """Output projection over the concatenated head outputs and the
@@ -1136,7 +1119,7 @@ class BlockLowering:
                     if dev == self.master else sb.qkv)
             self._gemv(dev, [GemvJob(pl, base)], ("SB", sb.rms))
         self._gather("o", sb.qkv, sb.qkv)
-        self.me.i("ACC", self._d_slots(), sb.hidden, sb.qkv)
+        self.ms.i("ACC", self._d_slots(), sb.hidden, sb.qkv)
         self._end()
 
     def _softmax_slots(self) -> tuple[int, int, int, int, int]:
@@ -1146,80 +1129,74 @@ class BlockLowering:
         return t + 8, t + 9, t + 10, t + 11, t + 16
 
     def _head_attention(self, kv: KvCachePlacement, head: int,
-                        n_groups: int, body: Optional[CountSink]
-                        ) -> CountSink:
+                        n_groups: int) -> None:
         """One query head's attention: a prologue that scales q and
-        replicates it into the Global Buffer, the shared body from
+        replicates it into the Global Buffer, the body from
         `_attention_body`, and an epilogue that drains the d_head
         accumulators into the head's output slots and applies
         1/denominator. Only the prologue and epilogue name the head's
-        own Shared Buffer slots, so `body` (None for a KV head's first
-        query head, which lowers it after its prologue so RISC-V
-        routines keep their first-use order) is the same for every
-        query head of `kv`. Returns the body."""
-        sb, em = self.sb, self.me
+        own Shared Buffer slots, so the body is the same for every
+        query head of `kv` and goes through `_shared`, keyed by the KV
+        head. The first query head lowers it after its prologue, so
+        RISC-V routines keep their first-use order."""
+        sb, sink = self.sb, self.ms
         dh, mask = kv.dh_slots, 1 << kv.channel
         q_slot = sb.qkv + head * dh
-        em.riscv("scale_const", dh, q_slot, q_slot,
-                 params=(1.0 / math.sqrt(self.model.d_head),))
+        sink.riscv("scale_const", dh, q_slot, q_slot,
+                   params=(1.0 / math.sqrt(self.model.d_head),))
         # replicate q so each packed K run sees it at its own columns
         for r in range(min(kv.k_runs_per_row, n_groups)):
-            em.i("WR_GB", mask, dh, r * dh, q_slot)
-        if body is None:
-            body = self._attention_body(kv, n_groups)
-        em.sink.append(body)
+            sink.i("WR_GB", mask, dh, r * dh, q_slot)
+        self._shared(self.master, ("attention", kv.kv_head),
+                     lambda body: self._attention_body(body, kv, n_groups))
         out = sb.rms + head * dh
         for g in range(dh):
-            em.i("RD_MAC", mask, out + g, g)
+            sink.i("RD_MAC", mask, out + g, g)
         sinv = self._softmax_slots()[3]
-        em.riscv("scale", dh, out, out, params=(sinv,))
-        return body
+        sink.riscv("scale", dh, out, out, params=(sinv,))
 
-    def _attention_body(self, kv: KvCachePlacement,
-                        n_groups: int) -> CountSink:
+    def _attention_body(self, sink: CountSink, kv: KvCachePlacement,
+                        n_groups: int) -> None:
         """Scores into DRAM staging (pass 1, tracking the running max),
         then per 64-slot tile: stabilized exp, denominator accumulation
         and the score x V GEMV into d_head accumulators (pass 2), and
-        1/denominator. Returned as an unfinished segment sink for
-        `_head_attention` to append; it reads no query head's slots."""
-        em = self.me.segment()
+        1/denominator. It reads no query head's slots."""
         sb = self.sb
         ch, dh = kv.channel, kv.dh_slots
         mask = 1 << ch
         srow = self.bl.score_scratch_row[ch]
         smax, sden, sred, sinv, stile = self._softmax_slots()
-        em.riscv("fill", 1, smax, smax, params=(-3.0e38,))
-        em.riscv("fill", 1, sden, sden, params=(0.0,))
+        sink.riscv("fill", 1, smax, smax, params=(-3.0e38,))
+        sink.riscv("fill", 1, sden, sden, params=(0.0,))
         for base in range(0, n_groups, REGS):
             chunk = min(REGS, n_groups - base)
             for i in range(chunk):
                 row, co = kv.k_loc(base + i)
-                em.i("WR_BIAS", mask, sb.zero)
-                em.i("MAC_ABK", mask, dh, row, co, i)
+                sink.i("WR_BIAS", mask, sb.zero)
+                sink.i("MAC_ABK", mask, dh, row, co, i)
             for i in range(chunk):
-                em.i("RD_MAC", mask, stile + i, i)
+                sink.i("RD_MAC", mask, stile + i, i)
             if base + chunk == n_groups and (self.pos + 1) % LANE:
-                em.riscv("mask_tail", 1, stile + chunk - 1,
-                         stile + chunk - 1,
-                         params=((self.pos + 1) % LANE,))
-            em.i("RED", chunk, sred, stile, red_mode="MAX")
-            em.riscv("maxacc", 1, smax, sred)
-            em.i("WR_SBK", ch, chunk, 0, srow + base // ROW_SLOTS,
-                 base % ROW_SLOTS, stile)
-        em.riscv("set_stab", 1, smax, smax)
+                sink.riscv("mask_tail", 1, stile + chunk - 1,
+                           stile + chunk - 1,
+                           params=((self.pos + 1) % LANE,))
+            sink.i("RED", chunk, sred, stile, red_mode="MAX")
+            sink.riscv("maxacc", 1, smax, sred)
+            sink.i("WR_SBK", ch, chunk, 0, srow + base // ROW_SLOTS,
+                   base % ROW_SLOTS, stile)
+        sink.riscv("set_stab", 1, smax, smax)
         for t, s in enumerate(input_tiles(n_groups * LANE)):
-            em.i("RD_SBK", ch, s, 0, srow + t, 0, stile)
-            em.i("EXP", s, stile, stile)
-            em.i("RED", s, sred, stile)
-            em.i("ACC", 1, sden, sred)
-            em.i("WR_GB", mask, s, 0, stile)
+            sink.i("RD_SBK", ch, s, 0, srow + t, 0, stile)
+            sink.i("EXP", s, stile, stile)
+            sink.i("RED", s, sred, stile)
+            sink.i("ACC", 1, sden, sred)
+            sink.i("WR_GB", mask, s, 0, stile)
             for g in range(dh):
                 if t == 0:
-                    em.i("WR_BIAS", mask, sb.zero)
-                em.i("MAC_ABK", mask, s,
-                     kv.v_base_row + g * kv.v_rows_per_group + t, 0, g)
-        em.riscv("recip", 1, sinv, sden)
-        return em.sink
+                    sink.i("WR_BIAS", mask, sb.zero)
+                sink.i("MAC_ABK", mask, s,
+                       kv.v_base_row + g * kv.v_rows_per_group + t, 0, g)
+        sink.riscv("recip", 1, sinv, sden)
 
     def ffn(self) -> None:
         self._begin("ffn")
@@ -1233,7 +1210,7 @@ class BlockLowering:
                        [GemvJob(self.bl.placements["down"][dev], sb.qkv)],
                        ("BK", self.bl.gated_scratch_row[dev]))
         self._gather_accumulate(sb.qkv, sb.qkv)
-        self.me.i("ACC", self._d_slots(), sb.hidden, sb.qkv)
+        self.ms.i("ACC", self._d_slots(), sb.hidden, sb.qkv)
         self._end()
 
     def _ffn_gate_up(self, dev: int) -> None:
@@ -1243,10 +1220,10 @@ class BlockLowering:
         gbase = self.bl.gated_scratch_row[dev]
         self._shared(dev, ("gate_up", gate.geometry, up.geometry, ew_row,
                            gbase),
-                     lambda em: self._lower_gate_up(em, gate, up, ew_row,
-                                                    gbase))
+                     lambda sink: self._lower_gate_up(sink, gate, up, ew_row,
+                                                      gbase))
 
-    def _lower_gate_up(self, em: Emitter, gate: TensorPlacement,
+    def _lower_gate_up(self, sink: CountSink, gate: TensorPlacement,
                        up: TensorPlacement, ew_row: int, gbase: int) -> None:
         """Fused gate/up pass: 16+16 matched row groups fill all 32
         accumulation registers, SiLU lands in-register via AF, gate x up
@@ -1276,60 +1253,53 @@ class BlockLowering:
                     max(gate.loc(gj, t)[1], up.loc(uj, t)[1]) // s
                     for c in live for gj, uj in batch[c])
                 for r in range(reps):
-                    em.i("WR_GB", mask, s, r * s, sb.rms + t * ROW_SLOTS)
+                    sink.i("WR_GB", mask, s, r * s, sb.rms + t * ROW_SLOTS)
                 for c in live:
                     for i, (gj, uj) in enumerate(batch[c]):
                         grow, gco, _ = gate.loc(gj, t)
                         urow, uco, _ = up.loc(uj, t)
                         if t == 0:
-                            em.i("WR_BIAS", 1 << c, sb.zero)
-                        em.i("MAC_ABK", 1 << c, s, grow, gco, i)
+                            sink.i("WR_BIAS", 1 << c, sb.zero)
+                        sink.i("MAC_ABK", 1 << c, s, grow, gco, i)
                         if t == 0:
-                            em.i("WR_BIAS", 1 << c, sb.zero)
-                        em.i("MAC_ABK", 1 << c, s, urow, uco, half + i)
+                            sink.i("WR_BIAS", 1 << c, sb.zero)
+                        sink.i("MAC_ABK", 1 << c, s, urow, uco, half + i)
             for c in live:
                 n = len(batch[c])
                 for i in range(n):
-                    em.i("AF", 1 << c, SILU, i)
+                    sink.i("AF", 1 << c, SILU, i)
                 for i in range(n):
-                    em.i("RD_MAC", 1 << c, tg + i, i)
+                    sink.i("RD_MAC", 1 << c, tg + i, i)
                 for i in range(n):
-                    em.i("RD_MAC", 1 << c, tu + i, half + i)
+                    sink.i("RD_MAC", 1 << c, tu + i, half + i)
                 q = -(-n // BANK_GROUPS)
                 for g in range(BANK_GROUPS):
                     seg = min(q, n - g * q)
                     if seg <= 0:
                         break
-                    em.i("WR_SBK", c, seg, BANK_GROUPS * g, ew_row, 0,
-                         tg + g * q)
-                    em.i("WR_SBK", c, seg, BANK_GROUPS * g + 1, ew_row, 0,
-                         tu + g * q)
-                em.i("EW_MUL", 1 << c, q, ew_row, 0)
+                    sink.i("WR_SBK", c, seg, BANK_GROUPS * g, ew_row, 0,
+                           tg + g * q)
+                    sink.i("WR_SBK", c, seg, BANK_GROUPS * g + 1, ew_row, 0,
+                           tu + g * q)
+                sink.i("EW_MUL", 1 << c, q, ew_row, 0)
                 for g in range(BANK_GROUPS):
                     seg = min(q, n - g * q)
                     if seg <= 0:
                         break
-                    em.i("RD_SBK", c, seg, BANK_GROUPS * g + 2, ew_row, 0,
-                         tg + g * q)
+                    sink.i("RD_SBK", c, seg, BANK_GROUPS * g + 2, ew_row, 0,
+                           tg + g * q)
                 off = phys_off[c] + rnd * half
                 for dst in gate.channels:
-                    pos = 0
-                    while pos < n:
-                        w = min(ROW_SLOTS - (off + pos) % ROW_SLOTS,
-                                n - pos)
-                        em.i("WR_SBK", dst, w, 0,
-                             gbase + (off + pos) // ROW_SLOTS,
-                             (off + pos) % ROW_SLOTS, tg + pos)
-                        pos += w
+                    _sbk_run(sink, "WR_SBK", dst, 0, gbase, off, n, tg)
 
 
 # ---------------------------------------------------------------------------
 # whole-token compilation
 
 def _compile_block(layout: Layout, bl: BlockLayout, position: int,
-                   emitters: dict) -> None:
+                   sinks: dict) -> None:
     low = BlockLowering(layout, bl, position,
-                        {d: emitters[d] for d in bl.tp_group})
+                        {d: sinks[d] for d in bl.tp_group})
     low.before_core()
     low.attention_core()
     low.after_core()
@@ -1365,14 +1335,13 @@ def compile_token(model: ModelSpec, plan: MappingPlan, token_pos: int,
     devices = sorted({d for a in plan.block_assignments
                       for d in a.devices})
     sinks = {d: ListSink(d, arch) for d in devices}
-    emitters = {d: Emitter(sinks[d], arch) for d in devices}
 
     senders = handoffs(layout)
     for bl in layout.blocks:
         src = senders.get((bl.replica, bl.block))
         if src is not None:
-            _emit_handoff(layout, src, bl.master, emitters)
-        _compile_block(layout, bl, token_pos, emitters)
+            _emit_handoff(layout, src, bl.master, sinks)
+        _compile_block(layout, bl, token_pos, sinks)
 
     traces = []
     for d in devices:
@@ -1382,7 +1351,7 @@ def compile_token(model: ModelSpec, plan: MappingPlan, token_pos: int,
             instructions=sinks[d].instructions,
             annotations=sinks[d].annotations,
             summary=sinks[d].summary,
-            routines=emitters[d].routines))
+            routines=sinks[d].routines))
     return traces
 
 
@@ -1400,14 +1369,14 @@ def handoffs(layout: Layout) -> dict:
 
 
 def _emit_handoff(layout: Layout, src: int, dst: int,
-                  emitters: dict) -> None:
+                  sinks: dict) -> None:
     """Hidden-state hand-off from device `src` to device `dst`."""
     n = slots_of(layout.model.d_model)
     h = layout.sb.hidden
     for i in range(n):
-        emitters[src].i("SEND_CXL", dst, h + i, h + i)
+        sinks[src].i("SEND_CXL", dst, h + i, h + i)
     for _ in range(n):
-        emitters[dst].i("RECV_CXL")
+        sinks[dst].i("RECV_CXL")
 
 
 def _structure_key(bl: BlockLayout) -> tuple:
@@ -1500,6 +1469,5 @@ def _count_segment(layout: Layout, bl: BlockLayout, position: int,
     """Unfinished CountSink per device of `bl`'s group holding one block
     segment (a BlockLowering method) at `position`."""
     sinks = {d: CountSink(d, arch) for d in bl.tp_group}
-    segment(BlockLowering(layout, bl, position,
-                          {d: Emitter(sinks[d], arch) for d in bl.tp_group}))
+    segment(BlockLowering(layout, bl, position, sinks))
     return sinks

@@ -11,9 +11,9 @@ lockstep, so MAC_ABK, EW_MUL and WR_ABK each run as one numpy operation
 over the bank axis, with each bank's arithmetic in the hardware's order:
 one pairwise FP32 product tree per column, columns accumulated left to
 right in FP32, one BF16 rounding on drain. Each slab carries a mask of
-the banks written so far. In strict mode (the default) a read of a bank
-outside it raises PoisonError naming the first such bank; in lenient
-mode it reads zeros.
+the banks written so far. Every read of state never written raises
+PoisonError: of a bank outside that mask (naming the first such bank),
+of a Global Buffer slot or of a Shared Buffer slot.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class DeadlockError(SimError):
 
 
 class PoisonError(SimError):
-    """Strict-mode read of never-written state."""
+    """Read of never-written state."""
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +160,8 @@ class DeviceState:
     bank b's copy of the row in slab[b], so an op that runs on all
     banks of a channel in lockstep is one numpy operation over the bank
     axis. Each slab carries a bool[BANKS] mask of the banks written
-    since it was allocated; in strict mode a read of a bank outside the
-    mask raises PoisonError."""
+    since it was allocated; a read of a bank outside the mask raises
+    PoisonError."""
 
     def __init__(self, cfg: ArchConfig):
         self.cfg = cfg
@@ -185,30 +185,28 @@ class DeviceState:
                 np.zeros(BANKS, dtype=bool))
         return entry
 
-    def read_slab(self, ch: int, row: int, lo: int, hi: int, strict: bool,
+    def read_slab(self, ch: int, row: int, lo: int, hi: int,
                   banks: np.ndarray = _ALL_BANKS) -> np.ndarray:
         """View of elements [lo, hi) of one row in all banks, shaped
-        (BANKS, hi - lo), for a read of `banks` (ascending). In strict
-        mode, raise PoisonError naming the first of them not written."""
+        (BANKS, hi - lo), for a read of `banks` (ascending). Raise
+        PoisonError naming the first of them not written."""
         entry = self.banks.get((ch, row))
         if entry is None:
-            if strict:
-                raise PoisonError(_unwritten(ch, banks[0], row))
-            entry = self.slab(ch, row)
+            raise PoisonError(_unwritten(ch, banks[0], row))
         data, written = entry
-        if strict:
-            ok = written[banks]
-            if not ok.all():
-                raise PoisonError(_unwritten(ch, banks[ok.argmin()], row))
+        ok = written[banks]
+        if not ok.all():
+            raise PoisonError(_unwritten(ch, banks[ok.argmin()], row))
         return data[:, lo:hi]
 
-    def bank_row(self, ch: int, bank: int, row: int, write: bool,
-                 strict: bool) -> np.ndarray:
-        """View of one bank's row; a write marks the bank written."""
+    def bank_row(self, ch: int, bank: int, row: int,
+                 write: bool) -> np.ndarray:
+        """View of one bank's row; a write marks the bank written, a
+        read of a bank never written raises PoisonError."""
         data, written = self.slab(ch, row)
         if write:
             written[bank] = True
-        elif strict and not written[bank]:
+        elif not written[bank]:
             raise PoisonError(_unwritten(ch, bank, row))
         return data[bank]
 
@@ -225,9 +223,8 @@ class DeviceState:
 
 
 class MemoryImage:
-    def __init__(self, cfg: Optional[ArchConfig] = None, strict: bool = True):
+    def __init__(self, cfg: Optional[ArchConfig] = None):
         self.cfg = cfg or ArchConfig()
-        self.strict = strict
         self.devices: dict[int, DeviceState] = {}
 
     def device(self, dev: int) -> DeviceState:
@@ -251,7 +248,7 @@ class MemoryImage:
     def read_slots(self, dev: int, base: int, n_elems: int) -> np.ndarray:
         st = self.device(dev)
         n = slots_of(n_elems)
-        if self.strict and not st.sb_written[base:base + n].all():
+        if not st.sb_written[base:base + n].all():
             raise PoisonError(f"read of unwritten slots at {base}")
         return bf16_to_f32(st.sb[base:base + n]).reshape(-1)[:n_elems]
 
@@ -295,7 +292,7 @@ def load_ew_weights(image: MemoryImage, wp: EwWeightPlacement,
     st = image.device(wp.device)
     for s in range(wp.n_slots):
         bank, row, col = wp.loc(s)
-        arr = st.bank_row(wp.channel, bank, row, True, False)
+        arr = st.bank_row(wp.channel, bank, row, True)
         seg = bits[s * LANE:(s + 1) * LANE]
         arr[col * LANE:col * LANE + len(seg)] = seg
 
@@ -322,7 +319,7 @@ def load_rope_tables(image: MemoryImage, layout: Layout, block: int) -> None:
         for r, p0 in enumerate(range(0, m.max_context, per_row)):
             runs = tab[p0:p0 + per_row]
             arr = st.bank_row(bl.norm_channel, BANK_GROUPS * g,
-                              bl.rope_base_row + r, True, False)
+                              bl.rope_base_row + r, True)
             arr[:len(runs) * run].reshape(len(runs), run)[:, :m.d_head] = runs
 
 
@@ -367,11 +364,10 @@ def load_block_weights(image: MemoryImage, layout: Layout, block: int,
                         weights[name])
 
 
-def prepare_image(layout: Layout, weights: list[dict],
-                  strict: bool = True) -> MemoryImage:
+def prepare_image(layout: Layout, weights: list[dict]) -> MemoryImage:
     """Build an image with all static state: zeroed scratch rows, the
     zero-constant Shared Buffer slots, RoPE tables and block weights."""
-    image = MemoryImage(layout.arch, strict=strict)
+    image = MemoryImage(layout.arch)
     for (dev, ch), runs in layout.zero_rows.items():
         for rows in runs:
             image.zero_rows(dev, ch, rows)
@@ -415,7 +411,6 @@ class _Executor:
     def __init__(self, image: MemoryImage, programs: dict,
                  groups: Optional[dict]):
         self.image = image
-        self.strict = image.strict
         self.programs = programs
         self.groups = groups or {}
         self.default_group = tuple(sorted(programs))
@@ -425,7 +420,7 @@ class _Executor:
     # -- state helpers ------------------------------------------------------
 
     def _sb_read(self, st: DeviceState, base: int, n: int) -> np.ndarray:
-        if self.strict and not st.sb_written[base:base + n].all():
+        if not st.sb_written[base:base + n].all():
             raise PoisonError(f"read of unwritten Shared Buffer slots "
                               f"[{base}, {base + n})")
         return bf16_to_f32(st.sb[base:base + n])
@@ -439,13 +434,13 @@ class _Executor:
     def _sb_run(self, st: DeviceState, base: int, n: int,
                 what: str) -> np.ndarray:
         """Bits of slots [base, base + n), poisoned if any is unwritten."""
-        if self.strict and not st.sb_written[base:base + n].all():
+        if not st.sb_written[base:base + n].all():
             raise PoisonError(f"{what} from unwritten slots at {base}")
         return st.sb[base:base + n]
 
     def _gb_operand(self, st, ch, co, n):
         gb, written = st.gb_arrays(ch)
-        if self.strict and not written[co:co + n].all():
+        if not written[co:co + n].all():
             raise PoisonError(f"MAC reads unwritten Global Buffer slots "
                               f"[{co}, {co + n}) on channel {ch}")
         return bf16_to_f32(gb[co:co + n])
@@ -475,8 +470,7 @@ class _Executor:
                 acc[:, reg] = self._sb_read(st, st.armed[ch], 1)[0]
                 st.armed[ch] = None
             w = bf16_to_f32(st.read_slab(
-                ch, row, co * LANE, (co + n) * LANE, self.strict)
-                ).reshape(BANKS, n, LANE)
+                ch, row, co * LANE, (co + n) * LANE)).reshape(BANKS, n, LANE)
             if inst.source_select == "GB":
                 partial = _tree_sum(w * self._gb_operand(st, ch, co, n))
             else:
@@ -503,8 +497,7 @@ class _Executor:
         st = prog.state
         lo, hi = co * LANE, (co + n) * LANE
         for ch in mask_channels(mask):
-            x = bf16_to_f32(st.read_slab(ch, row, lo, hi, self.strict,
-                                         _EW_INPUTS))
+            x = bf16_to_f32(st.read_slab(ch, row, lo, hi, _EW_INPUTS))
             data, written = st.slab(ch, row)
             data[2::_GROUP_STRIDE, lo:hi] = bf16_round(
                 x[0::_GROUP_STRIDE] * x[1::_GROUP_STRIDE])
@@ -514,20 +507,20 @@ class _Executor:
         ch, n, bank, row, co, rs = inst.operands
         st = prog.state
         vals = self._sb_run(st, rs, n, "WR_SBK")
-        st.bank_row(ch, bank, row, True, False)[
+        st.bank_row(ch, bank, row, True)[
             co * LANE:(co + n) * LANE] = vals.reshape(-1)
 
     def _op_rd_sbk(self, prog, inst):
         ch, n, bank, row, co, rd = inst.operands
         st = prog.state
-        arr = st.bank_row(ch, bank, row, False, self.strict)
+        arr = st.bank_row(ch, bank, row, False)
         self._sb_write(st, rd,
                        arr[co * LANE:(co + n) * LANE].reshape(n, LANE))
 
     def _op_wr_abk(self, prog, inst):
         ch, row, co, rs, reg = inst.operands
         st = prog.state
-        if self.strict and not st.sb_written[rs]:
+        if not st.sb_written[rs]:
             raise PoisonError(f"WR_ABK from unwritten slot {rs}")
         data, written = st.slab(ch, row)
         data[:, co * LANE + reg] = st.sb[rs]        # lane b -> bank b
@@ -537,7 +530,7 @@ class _Executor:
         mask, n, row, co = inst.operands
         st = prog.state
         for ch in mask_channels(mask):
-            arr = st.bank_row(ch, inst.copy_bank, row, False, self.strict)
+            arr = st.bank_row(ch, inst.copy_bank, row, False)
             gb, written = st.gb_arrays(ch)
             gb[co:co + n] = arr[co * LANE:(co + n) * LANE].reshape(n, LANE)
             written[co:co + n] = True
@@ -547,7 +540,7 @@ class _Executor:
         st = prog.state
         for ch in mask_channels(mask):
             vec = self._gb_operand(st, ch, co, n)
-            arr = st.bank_row(ch, inst.copy_bank, row, True, False)
+            arr = st.bank_row(ch, inst.copy_bank, row, True)
             arr[co * LANE:(co + n) * LANE] = bf16_round(vec).reshape(-1)
 
     # -- near-memory units --------------------------------------------------
@@ -594,7 +587,7 @@ class _Executor:
         dest, rs, rd = inst.operands
         st = prog.state
         payload = st.sb[rs].copy()
-        if self.strict and not st.sb_written[rs]:
+        if not st.sb_written[rs]:
             raise PoisonError(f"SEND of unwritten slot {rs}")
         if dest not in self.programs:
             raise SimError(f"SEND to device {dest} with no trace")
@@ -883,8 +876,7 @@ def reference_rope(x, position: int) -> np.ndarray:
 
 
 def reference_block(model: ModelSpec, weights: dict, hidden, k_cache,
-                    v_cache, position: int, exp_fn=np.exp,
-                    match_hardware: bool = False,
+                    v_cache, position: int, match_hardware: bool = False,
                     down_perm=None) -> tuple[np.ndarray, np.ndarray,
                                              np.ndarray]:
     """One transformer block at one decode step.
@@ -930,7 +922,7 @@ def reference_block(model: ModelSpec, weights: dict, hidden, k_cache,
             head = g * hpk + hq
             qh = q[head * dh:(head + 1) * dh] / math.sqrt(dh)
             scores = keys @ qh
-            e = exp_fn(scores - scores.max())
+            e = np.exp(scores - scores.max())
             attn[head * dh:(head + 1) * dh] = (e / e.sum()) @ vals
     h = h + wd["o"] @ attn
 

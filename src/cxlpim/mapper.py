@@ -147,6 +147,9 @@ def plan_tensor(model: ModelSpec, arch: ArchConfig, context: int) -> MappingPlan
 def plan_hybrid(model: ModelSpec, arch: ArchConfig, tp: int, pp: int,
                 context: int) -> MappingPlan:
     """`pp` pipeline stages of `tp` devices each; one prompt per stage."""
+    for name, value in (("tp", tp), ("pp", pp)):
+        if value < 1:
+            raise MappingError(f"{name} must be positive, got {value}")
     if tp * pp > arch.n_devices:
         raise MappingError(f"tp*pp = {tp * pp} exceeds {arch.n_devices} devices")
     if model.n_layers % pp != 0:

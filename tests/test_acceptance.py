@@ -129,9 +129,8 @@ def _compiled_gemv(rows, cols, channels):
                                   channels=tuple(range(channels)),
                                   rows=rows, cols=cols, base_row=0)
     sink = compiler.ListSink(0, ARCH)
-    compiler.emit_gemv(compiler.Emitter(sink, ARCH),
-                       [compiler.GemvJob(pl, out_base=1024)], ("SB", 0),
-                       sb_zero=0)
+    compiler.emit_gemv(sink, [compiler.GemvJob(pl, out_base=1024)],
+                       ("SB", 0), sb_zero=0)
     return sink.finish(), sink.instructions
 
 

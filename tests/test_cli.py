@@ -141,6 +141,24 @@ def test_nonpositive_devices_rejected(devices, capsys):
         f"error: --devices must be positive, got {devices}\n")
 
 
+@pytest.mark.parametrize("tp, pp, bad", [
+    (1, 0, "pp must be positive, got 0"),
+    (0, 1, "tp must be positive, got 0"),
+    (-1, 1, "tp must be positive, got -1"),
+])
+def test_nonpositive_tp_or_pp_rejected(tp, pp, bad, capsys, tmp_path):
+    assert cli.main(["simulate", "--model", "toy", "--strategy", "hybrid",
+                     "--tp", str(tp), "--pp", str(pp),
+                     "--prefill", "0", "--decode", "4"]) == 2
+    assert capsys.readouterr().err == f"error: {bad}\n"
+    spec = write_spec(tmp_path, [{**TOY_SPEC, "strategy": "hybrid",
+                                  "tp": tp, "pp": pp}])
+    assert cli.main(["sweep", "--spec", str(spec),
+                     "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"row 0 (toy): MappingError: {bad}\n1 row(s) failed\n")
+
+
 def test_simulate_writes_artifacts(tmp_path, capsys):
     rc = cli.main(["simulate", *TOY_ARGS, "--out", str(tmp_path)])
     assert rc == 0
@@ -167,6 +185,21 @@ def test_report_matches_simulate(tmp_path):
     ta = json.loads((sim_dir / "tco.json").read_text())
     tb = json.loads((rep_dir / "tco.json").read_text())
     assert ta == tb
+    assert sorted(p.name for p in rep_dir.iterdir()) == [
+        "energy.json", "ratios.json", "tco.json"]
+
+
+@pytest.mark.parametrize("data", [[1, 2], {"tokens_per_s": 1}])
+def test_report_rejects_a_file_that_is_no_saved_report(data, tmp_path,
+                                                       capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["report", "--model", "toy", "--report", str(path),
+                     "--out", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not a saved simulate report")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "rep").exists()
 
 
 def test_report_uses_the_arch_gpu_reference_like_simulate(tmp_path):
@@ -295,6 +328,16 @@ def test_sweep_rejects_non_list_spec(tmp_path, capsys):
                    "--out", str(tmp_path / "out.csv")])
     assert rc == 2
     assert "list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("specs, index", [([1], 0), ([TOY_SPEC, "toy"], 1)])
+def test_sweep_rejects_spec_that_is_not_an_object(specs, index, tmp_path,
+                                                  capsys):
+    spec = write_spec(tmp_path, specs)
+    assert cli.main(["sweep", "--spec", str(spec),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {spec}: spec {index} is not an object\n")
 
 
 def test_run_config_rejects_unknown_strategy():

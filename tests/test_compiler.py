@@ -9,7 +9,7 @@ from cxlpim.isa import IsaError, make_instruction, validate_trace
 from cxlpim.mapper import comm_volume, plan_hybrid, plan_pipeline, plan_tensor
 from cxlpim import compiler
 from cxlpim.compiler import (
-    CompileError, CountSink, Emitter, GemvJob, ListSink, TensorPlacement,
+    CompileError, CountSink, GemvJob, ListSink, TensorPlacement,
     build_layout, compile_token, emit_gemv,
 )
 from cxlpim.timesim import _token_profile, simulate_system
@@ -47,9 +47,9 @@ def gemv(rows, cols, vec_slot, out_base=1024):
 
 def _emit(sink, inst, riscv_kind=None):
     """Emit a materialized instruction into `sink` as the lowering does."""
-    sink.emit(inst.opcode, inst.operands, riscv_kind=riscv_kind,
-              source_select=inst.source_select, copy_bank=inst.copy_bank,
-              red_mode=inst.red_mode)
+    sink.i(inst.opcode, *inst.operands, riscv_kind=riscv_kind,
+           source_select=inst.source_select, copy_bank=inst.copy_bank,
+           red_mode=inst.red_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,7 @@ def test_gemv_bank_streamed_input_cannot_pack():
     pl = gemv_placement(16, 16)   # runs_per_row = 64
     sink = ListSink(0, ARCH)
     with pytest.raises(CompileError, match="packed matrix rows"):
-        emit_gemv(Emitter(sink, ARCH), [GemvJob(pl, 1024)], ("BK", 0), 0)
+        emit_gemv(sink, [GemvJob(pl, 1024)], ("BK", 0), 0)
 
 
 def test_placement_ragged_groups_rejected():
@@ -508,7 +508,7 @@ def test_sinks_reject_malformed_operands_like_make_instruction(
         _emit(sink, make_instruction("MAC_ABK", 1, 4, 5, 0, 0))
         before = sink.summary.to_dict()
         with pytest.raises(IsaError) as emitted:
-            sink.emit(opcode, operands, **flags)
+            sink.i(opcode, *operands, **flags)
         assert str(emitted.value) == str(built.value), cls
         assert sink.summary.to_dict() == before, cls
         assert sink._open == {0: [5, 4]}, cls
@@ -599,8 +599,7 @@ def test_append_leaves_segment_reusable():
 def _sequential_summaries(layout, bl, pos):
     """Per-role summaries of one block lowered whole into CountSinks."""
     sinks = {d: CountSink(d, ARCH) for d in bl.tp_group}
-    compiler._compile_block(layout, bl, pos,
-                            {d: Emitter(sinks[d], ARCH) for d in bl.tp_group})
+    compiler._compile_block(layout, bl, pos, sinks)
     return {di: sinks[d].finish().to_dict()
             for di, d in enumerate(bl.tp_group)}
 
@@ -674,7 +673,7 @@ def test_block_summaries_reject_a_layout_built_for_another_config():
 # pieces shared across a tensor-parallel group
 
 def _lower_each_device_alone(self, dev, key, lower):
-    lower(self.em[dev])
+    lower(self.sinks[dev])
 
 
 def _perturbed_tp4_layout(plan):
@@ -721,18 +720,39 @@ def test_shared_device_pieces_equal_lowering_each_device(monkeypatch, pp):
 
 
 def test_unknown_riscv_routine_rejected():
-    em = Emitter(CountSink(0, ARCH), ARCH)
     with pytest.raises(CompileError, match="unknown RISC-V routine 'rsqrt'"):
-        em.riscv("rsqrt", 1, 0, 0)
+        CountSink(0, ARCH).riscv("rsqrt", 1, 0, 0)
+
+
+def _riscv_piece(sink):
+    sink.riscv("scale", 1, 0, 0)
 
 
 def test_shared_pieces_emit_no_riscv():
+    # a piece's PCs index the routine table it was lowered with, so a
+    # piece that emits RISCV may not be appended to another device
     plan = plan_hybrid(TP4, ARCH, tp=4, pp=1, context=64)
     layout = build_layout(TP4, plan, ARCH)
+
+    def master_then_other(low):
+        low._shared(low.master, ("riscv",), _riscv_piece)
+        low._shared(low.bl.tp_group[1], ("riscv",), _riscv_piece)
     with pytest.raises(AssertionError):
-        lower(lambda low: low._shared(low.master, ("riscv",),
-                                      lambda em: em.riscv("scale", 1, 0, 0)),
-              layout)
+        lower(master_then_other, layout)
+
+
+def test_riscv_piece_appends_to_its_own_device():
+    plan = plan_hybrid(TP4, ARCH, tp=4, pp=1, context=64)
+    layout = build_layout(TP4, plan, ARCH)
+
+    def twice_on_master(low):
+        for _ in range(2):
+            low._shared(low.master, ("riscv",), _riscv_piece)
+    trace = lower(twice_on_master, layout)
+    assert [(i.opcode, i.PC) for i in trace.instructions] == [
+        ("RISCV", 0), ("RISCV", 0)]
+    assert trace.routines == {0: ("scale", ())}
+    assert trace.summary.riscv_slots == {"scale": 2}
 
 
 def test_row_allocator_spans_channels_from_their_highest_free_row():

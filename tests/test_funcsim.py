@@ -414,11 +414,9 @@ def test_recv_without_send_deadlocks():
 
 
 def test_strict_mode_poisons_unwritten_reads():
-    img = MemoryImage(ARCH, strict=True)
+    img = MemoryImage(ARCH)
     with pytest.raises(PoisonError):
         run_trace({0: [make_instruction("WR_GB", 0x1, 1, 0, 500)]}, img)
-    lenient = MemoryImage(ARCH, strict=False)
-    run_trace({0: [make_instruction("WR_GB", 0x1, 1, 0, 500)]}, lenient)
 
 
 def test_send_to_unknown_device_rejected():
@@ -431,7 +429,7 @@ def test_send_to_unknown_device_rejected():
 def test_riscv_with_unknown_pc_rejected():
     with pytest.raises(SimError, match="PC 5 names no routine"):
         run_trace({0: [make_instruction("RISCV", 1, 5, 0, 0)]},
-                  MemoryImage(ARCH, strict=False))
+                  MemoryImage(ARCH))
 
 
 def test_routine_table_is_what_the_compiler_emits_and_the_interpreter_runs():

@@ -53,7 +53,7 @@ def fill(img, mask, rows, gb, acc):
     for ch in channels_of(mask):
         for row in range(ROWS):
             for bank in range(BANKS):
-                dev.bank_row(ch, bank, row, True, False)[:] = rows[row, bank]
+                dev.bank_row(ch, bank, row, True)[:] = rows[row, bank]
         buf, written = dev.gb_arrays(ch)
         buf[:] = gb
         written[:] = True
@@ -155,7 +155,7 @@ def test_ew_mul_equals_per_bank_loop(data):
     for ch in channels_of(mask):
         for r in range(ROWS):
             for bank in range(BANKS):
-                got = img.device(0).bank_row(ch, bank, r, False, True)
+                got = img.device(0).bank_row(ch, bank, r, False)
                 assert np.array_equal(got, want[r, bank]), (ch, r, bank)
 
 
@@ -181,17 +181,17 @@ def test_wr_abk_equals_per_bank_loop(data):
         want[row, bank, co * LANE + reg] = lanes[bank]
     for r in range(ROWS):
         for bank in range(BANKS):
-            assert np.array_equal(dev.bank_row(ch, bank, r, False, True),
+            assert np.array_equal(dev.bank_row(ch, bank, r, False),
                                   want[r, bank])
 
 
-def partly_written_image(strict, banks, row_bits, vec):
+def partly_written_image(banks, row_bits, vec):
     """An image whose row 2 on channel 0 holds `row_bits` in `banks`
     only, with every Global Buffer slot written."""
-    img = MemoryImage(ARCH, strict=strict)
+    img = MemoryImage(ARCH)
     dev = img.device(0)
     for bank in banks:
-        dev.bank_row(0, bank, 2, True, False)[:] = row_bits[bank]
+        dev.bank_row(0, bank, 2, True)[:] = row_bits[bank]
     buf, ok = dev.gb_arrays(0)
     buf[:], ok[:] = vec, True
     return img
@@ -199,8 +199,7 @@ def partly_written_image(strict, banks, row_bits, vec):
 
 @pytest.mark.parametrize("source", ["GB", "BANK"])
 def test_partly_written_row_poisons_strict_reads_only(source):
-    """Strict mode names the first bank never written; lenient mode
-    reads it as zeros."""
+    """A read names the first bank never written."""
     banks = [0, 1, 2, 3, 4, 6, 7, 9]             # 5 is the first gap
     rng = np.random.default_rng(0)
     row_bits = bf16_round(rng.normal(size=(BANKS, ROW_ELEMS)))
@@ -208,32 +207,22 @@ def test_partly_written_row_poisons_strict_reads_only(source):
     op = (0x1, 4, 2, 0, 0)
     mac = make_instruction("MAC_ABK", *op, source_select=source)
 
-    img = partly_written_image(True, banks, row_bits, vec)
+    img = partly_written_image(banks, row_bits, vec)
     with pytest.raises(PoisonError, match=r"unwritten row 2 \(ch 0 bank 5\)"):
         run_trace({0: [mac]}, img)
-
-    img = partly_written_image(False, banks, row_bits, vec)
-    run_trace({0: [mac, make_instruction("RD_MAC", 0x1, DRAIN_SLOT, 0)]},
-              img)
-    rows = np.zeros((ROWS, BANKS, ROW_ELEMS), np.uint16)
-    rows[2, banks] = row_bits[banks]
-    want = mac_per_bank(rows, vec[:4], np.zeros((BANKS, REGS), np.uint16),
-                        None, op, source)
-    assert np.array_equal(img.device(0).sb[DRAIN_SLOT], bf16_round(want))
 
 
 def test_ew_mul_reads_only_its_input_banks():
     """EW_MUL reads banks 4g and 4g+1: a row written only there passes
-    strict mode, and one missing bank 4 is named."""
+    its read, and one missing bank 4 is named."""
     rng = np.random.default_rng(1)
     row_bits = bf16_round(rng.normal(size=(BANKS, ROW_ELEMS)))
     vec = np.zeros((ROW_SLOTS, LANE), np.uint16)
     ew = make_instruction("EW_MUL", 0x1, 2, 2, 5)
-    img = partly_written_image(True, [0, 1, 4, 5, 8, 9, 12, 13], row_bits,
-                               vec)
+    img = partly_written_image([0, 1, 4, 5, 8, 9, 12, 13], row_bits, vec)
     run_trace({0: [ew]}, img)
     assert img.device(0).slab(0, 2)[1].tolist() == [
         bank % 4 != 3 for bank in range(BANKS)]
-    img = partly_written_image(True, [0, 1, 5, 8, 9, 12, 13], row_bits, vec)
+    img = partly_written_image([0, 1, 5, 8, 9, 12, 13], row_bits, vec)
     with pytest.raises(PoisonError, match=r"unwritten row 2 \(ch 0 bank 4\)"):
         run_trace({0: [ew]}, img)

@@ -206,6 +206,6 @@ def test_compiled_rules_match_the_table_walk(cfg, data):
     assert _raised(isa.check_operands, opcode, operands, cfg=cfg,
                    **flags) == expected
     for sink in (compiler.CountSink(0, cfg), compiler.ListSink(0, cfg)):
-        assert _raised(sink.emit, opcode, operands, **flags) == expected
+        assert _raised(sink.i, opcode, *operands, **flags) == expected
         assert sink.summary.total_instructions == (expected is None)
 

@@ -36,9 +36,8 @@ def compiled_gemv(rows, cols, channels=1):
                                   channels=tuple(range(channels)),
                                   rows=rows, cols=cols, base_row=0)
     sink = compiler.CountSink(0, ARCH)
-    compiler.emit_gemv(compiler.Emitter(sink, ARCH),
-                       [compiler.GemvJob(pl, out_base=1024)], ("SB", 0),
-                       sb_zero=0)
+    compiler.emit_gemv(sink, [compiler.GemvJob(pl, out_base=1024)],
+                       ("SB", 0), sb_zero=0)
     return sink.finish()
 
 
