@@ -9,6 +9,10 @@ The runs are `cxlpim simulate --out` on:
   * llama2-70B scaled over 16 devices (context 2048, seq-gap 512),
   * llama2-7B pipelined over 8 devices (seq-gap 128),
 
+and through the config loader on llama2-7B pipelined over 8 devices
+(seq-gap 512): once with an `--arch` file that nests sections and
+gives ints to float fields, once with `--set` of an int, a float and a
+bool field; `cxlpim report --out` on the saved pp70b report;
 `cxlpim compile --out` on llama2-70B tensor parallel (position 2048),
 on toy over 2 devices, on llama2-70B scaled over 80 devices (two
 pipeline replicas, context 2048) and on llama2-70B hybrid tp4 x pp8
@@ -51,6 +55,24 @@ SIMULATE = {
                "--devices", "8", "--seq-gap", "128"],
 }
 
+# an arch file with every section, ints in float fields, and --set
+# overrides of an int, a float and a bool field
+ARCH_FILE = {"arch": {
+    "n_devices": 16, "pnm_clock_Hz": 2000000000,
+    "timing": {"tCL_ns": 26, "tRP_ns": 16, "refresh_enabled": True},
+    "cxl": {"base_latency_ns": 500, "link_bandwidth_Bps": 32000000000},
+    "energy": {"p_host_W": 120, "e_mac_col_pJ": 150},
+    "cost": {"amortization_years": 4, "production_volume": 1000000}}}
+
+LOADER = {
+    "arch-file7b": ["--model", "llama2_7b", "--strategy", "pp",
+                    "--devices", "8", "--seq-gap", "512"],
+    "set7b": ["--model", "llama2_7b", "--strategy", "pp", "--devices", "8",
+              "--seq-gap", "512", "--set", "arch.n_devices=16",
+              "--set", "arch.timing.tCL_ns=26.5",
+              "--set", "arch.timing.refresh_enabled=true"],
+}
+
 COMPILE = {
     "compile-tp70b": ["--model", "llama2_70b", "--strategy", "tp",
                       "--pos", "2048"],
@@ -91,6 +113,14 @@ def main(argv=None) -> int:
 
     for name, run in SIMULATE.items():
         _run(["simulate", *run, "--out", str(out / name)])
+    arch = out / "arch_file.json"
+    arch.write_text(json.dumps(ARCH_FILE, indent=1) + "\n")
+    _run(["simulate", *LOADER["arch-file7b"], "--arch", str(arch),
+          "--out", str(out / "arch-file7b")])
+    _run(["simulate", *LOADER["set7b"], "--out", str(out / "set7b")])
+    _run(["report", "--model", "llama2_70b",
+          "--report", str(out / "pp70b" / "report.json"),
+          "--out", str(out / "report-pp70b")])
     for name, run in COMPILE.items():
         _run(["compile", *run, "--out", str(out / name)])
     spec = out / "sweep_spec.json"

@@ -22,11 +22,12 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import compiler, energycost, isa, mapper, timesim
-from .config import (CONFIGS_DIR, ArchConfig, ConfigError, ModelSpec,
-                     apply_overrides, load_config)
+from .config import (CONFIGS_DIR, WORD_B, ArchConfig, ConfigError, ModelSpec,
+                     apply_overrides, build, load_config, typed)
 
 CSV_COLUMNS = ["model", "n_devices", "strategy", "tp", "pp", "dp", "batch",
                "prefill_ms", "decode_ms_per_token", "tokens_per_s",
@@ -63,9 +64,9 @@ def _load_configs(model_name: str, arch_name: str | None,
         key, value = item.split("=", 1)
         section, _, rest = key.partition(".")
         if section == "model":
-            model = apply_overrides(model, {rest: value})
+            model = apply_overrides(model, {rest: value}, section)
         elif section == "arch":
-            arch = apply_overrides(arch, {rest: value})
+            arch = apply_overrides(arch, {rest: value}, section)
         else:
             raise CliError(
                 f"--set keys start with 'model.' or 'arch.': {item!r}")
@@ -115,30 +116,35 @@ def _price(rep, arch: ArchConfig):
     return er, tco
 
 
-def run_config(spec: dict) -> dict:
-    """Execute one configuration; returns the CSV row as a dict.
+@dataclass(frozen=True)
+class RunSpec:
+    """One sweep row: the `simulate` options a spec may give, with their
+    defaults (None: the model's max_context, or context - prefill)."""
+    model: str
+    arch: str | None = None
+    strategy: str = "pp"
+    tp: int = 1
+    pp: int = 1
+    devices: int | None = None
+    context: int | None = None
+    prefill: int = 512
+    decode: int | None = None
+    seq_gap: int = 128
+    set: list[str] | None = None      # --set overrides, key=value each
 
-    Recognized keys: model (required), arch, strategy, tp, pp, devices,
-    context, prefill, decode, seq_gap, set (list of key=value).
-    """
-    known = {"model", "arch", "strategy", "tp", "pp", "devices", "context",
-             "prefill", "decode", "seq_gap", "set"}
-    bad = set(spec) - known
-    if bad:
-        raise CliError(f"unknown spec key(s): {sorted(bad)}")
-    if "model" not in spec:
-        raise CliError("spec needs a 'model'")
-    model, arch = _load_configs(spec["model"], spec.get("arch"),
-                                spec.get("set"))
-    context = int(spec.get("context", model.max_context))
-    prefill = int(spec.get("prefill", 512))
-    decode = int(spec.get("decode", max(1, context - prefill)))
-    plan = _build_plan(model, arch, spec.get("strategy", "pp"),
-                       int(spec.get("tp", 1)), int(spec.get("pp", 1)),
-                       spec.get("devices"), context)
-    rep = timesim.simulate_system(model, plan, arch, prefill_tokens=prefill,
-                                  decode_tokens=decode,
-                                  seq_gap=int(spec.get("seq_gap", 128)))
+
+def run_config(spec: dict) -> dict:
+    """Execute one configuration (the keys of `RunSpec`); returns the
+    CSV row as a dict."""
+    s = build(RunSpec, spec, "spec")
+    model, arch = _load_configs(s.model, s.arch, s.set)
+    context = model.max_context if s.context is None else s.context
+    decode = max(1, context - s.prefill) if s.decode is None else s.decode
+    plan = _build_plan(model, arch, s.strategy, s.tp, s.pp, s.devices,
+                       context)
+    rep = timesim.simulate_system(model, plan, arch,
+                                  prefill_tokens=s.prefill,
+                                  decode_tokens=decode, seq_gap=s.seq_gap)
     er, tco = _price(rep, arch)
     return {
         "model": model.name,
@@ -240,8 +246,8 @@ def _cmd_compile(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     plan.save(out / "plan.json")
-    vol = mapper.comm_volume(plan, model)
-    summaries = compiler.block_summaries(model, plan, arch, pos)
+    layout = compiler.build_layout(model, plan, arch)
+    summaries = compiler.block_summaries(model, plan, arch, pos, layout)
     classes = []
     for cls in summaries:
         merged = compiler.TraceSummary()
@@ -253,12 +259,15 @@ def _cmd_compile(args) -> int:
             "microops": {k: merged.microops[k]
                          for k in sorted(merged.microops)},
             "mac_fraction": merged.mac_fraction(),
+            "cxl_sent_B": merged.cxl_sent_B,
         })
+    handoff_B = (len(compiler.handoffs(layout))
+                 * compiler.slots_of(model.d_model) * WORD_B)
     (out / "trace_summary.json").write_text(json.dumps({
         "model": model.name,
         "strategy": plan.strategy,
         "token_pos": pos,
-        "comm_per_block_B": vol.per_block_B,
+        "handoff_B_per_token": handoff_B,
         "block_classes": classes,
     }, indent=2) + "\n")
     print(f"plan: {plan.strategy}, batch {plan.batch_size}, "
@@ -394,11 +403,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_report(args) -> int:
     model, arch = _load_configs(args.model, args.arch, args.set)
     data = json.loads(Path(args.report).read_text())
-    try:
-        rep = timesim.SimReport(**data)
-    except TypeError as e:
-        raise CliError(f"{args.report}: not a saved simulate report "
-                       f"({e})") from e
+    rep = build(timesim.SimReport, data, f"{args.report}: report")
     er, tco = _price(rep, arch)
     ratios = _ratios(rep.tokens_per_s, er, tco, _gpu_reference(args, arch))
     _save_run_artifacts(Path(args.out), er, tco, ratios)
@@ -407,12 +412,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    specs = json.loads(Path(args.spec).read_text())
-    if not isinstance(specs, list):
-        raise CliError(f"{args.spec}: top level must be a list of specs")
-    for i, spec in enumerate(specs):
-        if not isinstance(spec, dict):
-            raise CliError(f"{args.spec}: spec {i} is not an object")
+    specs = typed(json.loads(Path(args.spec).read_text()), list[dict],
+                  f"{args.spec}: specs")
     failures = run_sweep(specs, args.out, workers=args.workers)
     if failures:
         print(f"{failures} row(s) failed", file=sys.stderr)
@@ -499,7 +500,7 @@ def main(argv=None) -> int:
     except (CliError, ConfigError, mapper.MappingError,
             compiler.CompileError, isa.IsaError, timesim.TimingError,
             energycost.EnergyError, energycost.CostError, OSError,
-            json.JSONDecodeError) as e:
+            OverflowError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,11 @@ counts, capacities, clocks, timing, CXL, energy and cost.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import math
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -42,6 +46,18 @@ class ConfigError(ValueError):
     pass
 
 
+def check_numbers(obj, positive: bool, but: tuple = ()) -> None:
+    """Every number field of `obj` must be finite and >= 0, and > 0 if
+    `positive` unless it is named in `but` (and the other way round)."""
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        strict = positive != (f.name in but)
+        if type(v) in (int, float) and (not math.isfinite(v) or v < 0
+                                        or (strict and v == 0)):
+            raise ConfigError(f"{f.name} must be finite and "
+                              f"{'positive' if strict else '>= 0'}, got {v}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     name: str = "model"
@@ -55,6 +71,7 @@ class ModelSpec:
     weight_precision_B: int = 2  # BF16
 
     def __post_init__(self) -> None:
+        check_numbers(self, positive=True)
         if self.d_model != self.n_heads * self.d_head:
             raise ConfigError(
                 f"d_model ({self.d_model}) must equal n_heads*d_head "
@@ -63,10 +80,6 @@ class ModelSpec:
             raise ConfigError(
                 f"n_heads ({self.n_heads}) must be divisible by n_kv_heads "
                 f"({self.n_kv_heads})")
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if f.name != "name" and v <= 0:
-                raise ConfigError(f"{f.name} must be positive, got {v}")
         if self.weight_precision_B != 2:
             raise ConfigError(
                 f"weight_precision_B must be 2 (BF16, the only format the "
@@ -90,14 +103,9 @@ class TimingParams:
     pnm_fill_cycles: int = 4
 
     def __post_init__(self) -> None:
+        check_numbers(self, positive=False, but=("tREFI_ns",))
         if self.tRAS_ns < self.tRCDRD_ns:
             raise ConfigError("tRAS must be >= tRCDRD")
-        for name in ("tRCDRD_ns", "tRAS_ns", "tCL_ns", "tCCDS_ns",
-                     "tRP_ns", "dispatch_ns"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if self.tREFI_ns <= 0:
-            raise ConfigError("tREFI_ns must be positive")
 
 
 @dataclass(frozen=True)
@@ -110,10 +118,7 @@ class CxlParams:
     multicast_bandwidth_factor: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.link_bandwidth_Bps <= 0 or self.link_efficiency <= 0:
-            raise ConfigError("link bandwidth/efficiency must be positive")
-        if self.multicast_latency_factor <= 0 or self.multicast_bandwidth_factor <= 0:
-            raise ConfigError("multicast factors must be positive")
+        check_numbers(self, positive=True, but=("base_latency_ns",))
 
     @property
     def effective_bandwidth_Bps(self) -> float:
@@ -136,9 +141,21 @@ class EnergyParams:
     p_host_W: float = 100.0
 
     def __post_init__(self) -> None:
-        for f in dataclasses.fields(self):
-            if getattr(self, f.name) < 0:
-                raise ConfigError(f"{f.name} must be >= 0")
+        check_numbers(self, positive=False)
+
+
+@dataclass(frozen=True)
+class GpuReference:
+    """Externally supplied GPU figures, used only for ratio reporting."""
+    tokens_per_s: float
+    tokens_per_J: float
+    tco_owned_USD_per_hr: float
+    tco_rental_USD_per_hr: float | None = None
+    name: str = ""
+    model: str = ""
+
+    def __post_init__(self) -> None:
+        check_numbers(self, positive=True)
 
 
 @dataclass(frozen=True)
@@ -160,12 +177,9 @@ class CostParams:
     gpu_reference: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in ("wafer_cost_USD", "wafer_diameter_mm", "defect_density_per_mm2",
-                     "controller_area_mm2", "packaging_fraction", "nre_total_USD",
-                     "production_volume", "pim_memory_cost_USD", "switch_cost_USD",
-                     "host_cost_USD", "electricity_USD_per_kWh", "amortization_years"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        check_numbers(self, positive=True, but=("host_rental_USD_per_hr",))
+        if self.gpu_reference:
+            build(GpuReference, self.gpu_reference, "gpu_reference")
 
 
 @dataclass(frozen=True)
@@ -182,10 +196,7 @@ class ArchConfig:
     cost: CostParams = field(default_factory=CostParams)
 
     def __post_init__(self) -> None:
-        for name in ("n_devices", "channels_per_device", "bank_capacity_B",
-                     "shared_buffer_B", "pnm_clock_Hz", "n_scalar_cores"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        check_numbers(self, positive=True)
 
     def __getstate__(self) -> dict:
         # only the fields: what other modules cache on a config (isa's
@@ -234,29 +245,59 @@ def block_footprint(model: ModelSpec, context: int) -> tuple[int, int]:
 
 # -- loading -----------------------------------------------------------------
 
-def _build(cls, data: dict, where: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    bad = set(data) - known
+_hints = functools.cache(typing.get_type_hints)
+
+_KINDS = {float: "a finite number", int: "an integer", bool: "true or false",
+          str: "a string", list: "a list", dict: "an object"}
+
+
+def typed(value, hint, where: str):
+    """`value` checked against the annotation `hint`; ConfigError naming
+    `where` if it does not match. A dataclass takes a JSON object (see
+    `build`). An int is never a bool. A float takes any finite int or
+    float and stores it as a float. `X | None`, `list[X]` and
+    `dict[str, X]` check their items."""
+    if hint is float:
+        if type(value) in (int, float) and math.isfinite(value):
+            return float(value)
+    elif type(value) is hint:
+        return value
+    elif dataclasses.is_dataclass(hint):
+        return build(hint, value, where)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:                     # X | None
+        return None if value is None else typed(value, args[0], where)
+    if origin is list and type(value) is list:
+        return [typed(v, args[0], f"{where}[{i}]")
+                for i, v in enumerate(value)]
+    if origin is dict and type(value) is dict:
+        return {k: typed(v, args[1], f"{where}.{k}")
+                for k, v in value.items()}
+    kind = origin or hint
+    raise ConfigError(f"{where}: expected {_KINDS.get(kind, kind.__name__)}, "
+                      f"got {value!r}")
+
+
+def build(cls, data, where: str):
+    """An instance of dataclass `cls` from the JSON object `data`: every
+    field is checked by `typed` against its annotation, sections
+    recurse, missing optional fields take their defaults and the
+    class's own `__post_init__` checks follow."""
+    if type(data) is not dict:
+        raise ConfigError(f"{where}: expected an object, got {data!r}")
+    hints = _hints(cls)
+    bad = data.keys() - hints.keys()
     if bad:
         raise ConfigError(f"{where}: unknown field(s) {sorted(bad)}")
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in data
+               and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"{where}: missing field(s) {missing}")
+    kwargs = {k: typed(v, hints[k], f"{where}.{k}") for k, v in data.items()}
     try:
-        return cls(**data)
-    except TypeError as e:
-        raise ConfigError(f"{where}: {e}") from e
-
-
-def arch_from_dict(data: dict[str, Any]) -> ArchConfig:
-    data = dict(data)
-    sub = {"timing": TimingParams, "cxl": CxlParams,
-           "energy": EnergyParams, "cost": CostParams}
-    for key, cls in sub.items():
-        if key in data and isinstance(data[key], dict):
-            data[key] = _build(cls, data[key], f"arch.{key}")
-    return _build(ArchConfig, data, "arch")
-
-
-def model_from_dict(data: dict[str, Any]) -> ModelSpec:
-    return _build(ModelSpec, data, "model")
+        return cls(**kwargs)
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def load_config(path: str | Path) -> tuple[ModelSpec, ArchConfig]:
@@ -274,41 +315,38 @@ def load_config(path: str | Path) -> tuple[ModelSpec, ArchConfig]:
     # a bare model file (no section keys) is accepted for convenience
     if "model" not in data and "arch" not in data and "n_layers" in data:
         data = {"model": data}
-    model = model_from_dict(data.get("model", {}))
-    arch = arch_from_dict(data.get("arch", {}))
+    model = build(ModelSpec, data.pop("model", {}), f"{path}: model")
+    arch = build(ArchConfig, data.pop("arch", {}), f"{path}: arch")
+    if data:
+        raise ConfigError(f"{path}: unknown section(s) {sorted(data)}")
     return model, arch
 
 
-def apply_overrides(obj, overrides: dict[str, Any]):
-    """Apply dotted-path --set overrides to a frozen dataclass tree."""
+def apply_overrides(obj, overrides: dict[str, Any], where: str = ""):
+    """Apply dotted-path --set overrides to a frozen dataclass tree, a
+    string value read as JSON if it parses (else as a string) and then
+    checked by `typed`; `where` names `obj` in error messages."""
     for key, value in overrides.items():
-        parts = key.split(".")
-        obj = _set_path(obj, parts, value)
+        if isinstance(value, str):
+            try:
+                value = json.loads(value)
+            except json.JSONDecodeError:
+                pass
+        path = f"{where}.{key}" if where else key
+        obj = _set_path(obj, key.split("."), value, path)
     return obj
 
 
-def _set_path(obj, parts: list[str], value):
+def _set_path(obj, parts: list[str], value, where: str):
     name = parts[0]
-    if not any(f.name == name for f in dataclasses.fields(obj)):
+    hints = _hints(type(obj))
+    if name not in hints:
         raise ConfigError(f"unknown config field: {name}")
-    current = getattr(obj, name)
     if len(parts) > 1:
+        current = getattr(obj, name)
         if not dataclasses.is_dataclass(current):
             raise ConfigError(f"{name} is a value, not a section")
-        child = _set_path(current, parts[1:], value)
-        return dataclasses.replace(obj, **{name: child})
-    if dataclasses.is_dataclass(current):
-        raise ConfigError(f"{name} is a section, not a value")
-    if isinstance(current, dict):
-        raise ConfigError(f"{name} is a table: set it in a config file "
-                          f"(or use --gpu-reference)")
-    if isinstance(current, bool):
-        value = str(value).lower() in ("1", "true", "yes")
-    elif isinstance(current, (int, float)):
-        try:
-            value = type(current)(value)
-        except ValueError:
-            raise ConfigError(f"{name}: expected {type(current).__name__}, "
-                              f"got {value!r}") from None
+        value = _set_path(current, parts[1:], value, where)
+    else:
+        value = typed(value, hints[name], where)
     return dataclasses.replace(obj, **{name: value})
-

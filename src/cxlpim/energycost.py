@@ -25,7 +25,8 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .config import BANKS, PARAMS_DIR, ArchConfig, CostParams, EnergyParams
+from .config import (BANKS, PARAMS_DIR, ArchConfig, CostParams, EnergyParams,
+                     GpuReference, build)
 
 
 class EnergyError(ValueError):
@@ -37,9 +38,12 @@ class CostError(ValueError):
 
 
 def load_reference_figures(path=None) -> dict:
-    """Load externally supplied reference-system figures for ratios."""
+    """Load externally supplied reference-system figures for ratios,
+    checked as a `config.GpuReference`."""
     path = Path(path) if path else PARAMS_DIR / "gpu_reference.json"
-    return json.loads(path.read_text())
+    data = json.loads(path.read_text())
+    build(GpuReference, data, f"{path}: gpu_reference")
+    return data
 
 
 #: command-count categories that energy_from_counts requires

@@ -719,21 +719,7 @@ def gemv_reference(matrix, vector) -> np.ndarray:
     """BF16 GEMV with the hardware's reduction order: 16-wide pairwise
     product trees per column chunk, FP32 sequential accumulation across
     chunks, one BF16 rounding on drain. Bit-exact against run_trace."""
-    w = bf16(np.asarray(matrix, dtype=np.float32))
-    x = bf16(np.asarray(vector, dtype=np.float32)).reshape(-1)
-    rows, cols = w.shape
-    pad = (-cols) % LANE
-    if pad:
-        w = np.pad(w, ((0, 0), (0, pad)))
-        x = np.pad(x, (0, pad))
-    chunks = (cols + pad) // LANE
-    wt = w.reshape(rows, chunks, LANE)
-    xt = x.reshape(chunks, LANE)
-    partial = _tree_sum(wt * xt)            # (rows, chunks)
-    out = np.zeros(rows, dtype=np.float32)
-    for c in range(chunks):
-        out = (out + partial[:, c]).astype(np.float32)
-    return bf16(out)
+    return bf16(_gemv_acc(bf16(matrix), bf16(vector)))
 
 
 def _gemv_acc(matrix, vector) -> np.ndarray:

@@ -13,7 +13,7 @@ scaled fleets).
 A plan says which devices and channels hold each block, and nothing
 about CXL traffic: the compiler emits the collectives and hidden-state
 hand-offs a plan implies, and the timing and energy models price what
-the compiled trace sends. `comm_volume` is a plan-level summary figure.
+the compiled trace sends.
 """
 
 from __future__ import annotations
@@ -172,32 +172,3 @@ def plan_scaled(model: ModelSpec, arch: ArchConfig, n_devices: int,
     return _stages("PP+DP" if dp > 1 else "PP", model, arch, context,
                    n_devices, tp=1, per_stage=b, batch=model.n_layers,
                    pp_stages=model.n_layers, dp=dp)
-
-
-@dataclass(frozen=True)
-class CommVolume:
-    per_token_B: int
-    per_block_B: float        # average over blocks of one replica
-
-
-def comm_volume(plan: MappingPlan, model: ModelSpec) -> CommVolume:
-    """Activation bytes a token moves over CXL, counted per vector: in a
-    tensor-parallel block, the broadcast inputs of Q, K, V, O and the
-    fused gate/up pair and the gathered Q, K, V, O and down outputs, each
-    once; between consecutive blocks of a replica on different masters,
-    one hidden vector. Timing and energy read the compiled trace, which
-    moves only each sender's share of a gathered vector."""
-    d_B = model.d_model * model.weight_precision_B
-    kv_B = model.d_head * model.n_kv_heads * model.weight_precision_B
-    tp_block_B = 5 * d_B + 3 * d_B + 2 * kv_B     # broadcasts + gathers
-    total = 0
-    master: dict = {}                       # replica -> last block's master
-    for a in plan.block_assignments:
-        if len(a.devices) > 1:
-            total += tp_block_B
-        if master.get(a.replica, a.master) != a.master:
-            total += d_B
-        master[a.replica] = a.master
-    n_blocks = model.n_layers * plan.dp_replicas
-    return CommVolume(per_token_B=total,
-                      per_block_B=total / n_blocks if n_blocks else 0.0)

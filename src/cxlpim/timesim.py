@@ -147,11 +147,11 @@ class SimReport:
     prefill_ns: float             # per query
     decode_ns: float              # per query
     tokens_per_s: float
-    breakdown_ns: dict            # {"pim","pnm","dispatch","cxl"} per token
-    command_counts: dict          # fleet totals per pipeline step (decode avg)
+    breakdown_ns: dict[str, float]    # {"pim","pnm","dispatch","cxl"}/token
+    command_counts: dict[str, float]  # fleet totals per step (decode avg)
     flops_per_token: float
     mac_microops_per_token: float
-    channel_utilization: dict     # device -> {channel: busy fraction}
+    channel_utilization: dict[str, dict[str, float]]  # {dev: {ch: busy}}
 
     def to_dict(self) -> dict:
         # shallow: asdict's deep copy of the per-channel table would double

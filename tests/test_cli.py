@@ -1,16 +1,35 @@
 """Command-line runner tests."""
 
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cxlpim import cli, energycost
+from cxlpim.config import CONFIGS_DIR
 
 TOY_ARGS = ["--model", "toy", "--context", "64",
             "--prefill", "4", "--decode", "8", "--seq-gap", "1"]
 
 TOY_SPEC = {"model": "toy", "context": 64, "prefill": 4, "decode": 8,
             "seq_gap": 1}
+
+TOY_MODEL = json.loads((CONFIGS_DIR / "toy.json").read_text())["model"]
+
+# input files of the error cases below, written to the working directory
+BAD_FILES = {
+    "layers_float.json": {"model": {**TOY_MODEL, "n_layers": 2.5}},
+    "context_float.json": {"model": {**TOY_MODEL, "max_context": 64.5}},
+    "layers_bool.json": {"model": {**TOY_MODEL, "n_layers": True}},
+    "name_number.json": {"model": {**TOY_MODEL, "name": 5}},
+    "layers_huge.json": {"model": {**TOY_MODEL, "n_layers": 10 ** 400}},
+    "arch_list.json": {"model": TOY_MODEL, "arch": []},
+    "section_typo.json": {"modle": TOY_MODEL},
+    "timing_number.json": {"arch": {"timing": 5}},
+    "gpu_partial.json": {"tokens_per_s": 10},
+    "gpu_list.json": [1],
+}
 
 
 def test_compile_writes_plan_and_summary(tmp_path):
@@ -96,10 +115,46 @@ def test_verify_two_device_pipeline_passes(capsys):
      "8", "--out", "out"],
     ["simulate", "--model", "llama2_70b", "--strategy", "hybrid", "--tp",
      "4", "--pp", "8", "--devices", "8", "--out", "out"],
+    # ConfigError at load: every value is checked against its field's
+    # type, so no float, bool or number lands in an int or string field
+    ["simulate", "--model", "layers_float.json", "--out", "out"],
+    ["simulate", "--model", "context_float.json", "--out", "out"],
+    ["simulate", "--model", "layers_bool.json", "--out", "out"],
+    ["simulate", "--model", "name_number.json", "--out", "out"],
+    # an integer too large for a float
+    ["simulate", "--model", "layers_huge.json", "--out", "out"],
+    # ... and a section is an object
+    ["simulate", "--model", "arch_list.json", "--out", "out"],
+    # ... and a file holds no section but model and arch
+    ["simulate", "--model", "section_typo.json", "--out", "out"],
+    ["simulate", "--model", "toy", "--arch", "timing_number.json",
+     "--out", "out"],
+    # ... and so is a GPU reference, with every figure the ratios read
+    ["simulate", *TOY_ARGS, "--gpu-reference", "gpu_partial.json",
+     "--out", "out"],
+    ["simulate", *TOY_ARGS, "--gpu-reference", "gpu_list.json",
+     "--out", "out"],
+    # ConfigError: numbers are finite and >= 0, and --set reads JSON
+    ["simulate", *TOY_ARGS, "--set", "arch.timing.pnm_fill_cycles=-4",
+     "--out", "out"],
+    ["simulate", *TOY_ARGS, "--set", "arch.timing.refresh_enabled=maybe",
+     "--out", "out"],
+    ["simulate", *TOY_ARGS, "--set", "arch.cxl.base_latency_ns=-400",
+     "--out", "out"],
+    ["simulate", *TOY_ARGS, "--set", "arch.cxl.link_efficiency=inf",
+     "--out", "out"],
+    ["simulate", *TOY_ARGS, "--set", "arch.cxl.link_efficiency=Infinity",
+     "--out", "out"],
+    ["simulate", *TOY_ARGS, "--set", "arch.timing.tCCDS_ns=nan",
+     "--out", "out"],
+    ["simulate", *TOY_ARGS, "--set", "arch.timing.tCCDS_ns=NaN",
+     "--out", "out"],
 ])
 def test_lowering_errors_exit_2_with_one_line(argv, capsys, tmp_path,
                                               monkeypatch):
     monkeypatch.chdir(tmp_path)
+    for name, data in BAD_FILES.items():
+        (tmp_path / name).write_text(json.dumps(data))
     assert cli.main(argv) == 2
     assert not (tmp_path / "out").exists()
     err = capsys.readouterr().err
@@ -189,7 +244,28 @@ def test_report_matches_simulate(tmp_path):
         "energy.json", "ratios.json", "tco.json"]
 
 
-@pytest.mark.parametrize("data", [[1, 2], {"tokens_per_s": 1}])
+# the fields of a saved toy report, every one well typed
+SAVED_REPORT = {
+    "strategy": "PP", "n_active_devices": 2, "dp_replicas": 1,
+    "batch_size": 2, "prefill_tokens": 4, "decode_tokens": 8, "seq_gap": 1,
+    "token_latency_ns": 9000.0, "token_step_ns": 4500.0,
+    "prefill_ns": 36000.0, "decode_ns": 72000.0, "tokens_per_s": 2.2e5,
+    "breakdown_ns": {"pim": 4000.0, "pnm": 3000.0, "dispatch": 1000.0,
+                     "cxl": 1000.0},
+    "command_counts": {k: 100.0 for k in energycost.REQUIRED_COUNTS},
+    "flops_per_token": 1e6, "mac_microops_per_token": 1e3,
+    "channel_utilization": {"0": {"0": 0.5}},
+}
+
+
+@pytest.mark.parametrize("data", [
+    [1, 2], {"tokens_per_s": 1},
+    # every field is checked against its type, nested tables too
+    {**SAVED_REPORT, "tokens_per_s": "x"},
+    {**SAVED_REPORT, "decode_tokens": 8.5},
+    {**SAVED_REPORT, "breakdown_ns": {"pim": "fast"}},
+    {**SAVED_REPORT, "tokens_per_s": math.nan},
+])
 def test_report_rejects_a_file_that_is_no_saved_report(data, tmp_path,
                                                        capsys):
     path = tmp_path / "report.json"
@@ -197,7 +273,7 @@ def test_report_rejects_a_file_that_is_no_saved_report(data, tmp_path,
     assert cli.main(["report", "--model", "toy", "--report", str(path),
                      "--out", str(tmp_path / "rep")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: not a saved simulate report")
+    assert err.startswith(f"error: {path}: report")
     assert err.count("\n") == 1
     assert not (tmp_path / "rep").exists()
 
@@ -296,16 +372,32 @@ def test_sweep_context_list_expands_to_rows(tmp_path):
     assert len(read_rows(out)) == 2
 
 
+# sweep specs that fail their row, and the field each failure names
+BAD_ROWS = [
+    ({"model": "toy", "bogus_key": 1}, "bogus_key"),
+    ({**TOY_SPEC, "devices": 2.5}, "spec.devices"),
+    ({**TOY_SPEC, "seq_gap": True}, "spec.seq_gap"),
+    ({**TOY_SPEC, "prefill": 4.7}, "spec.prefill"),
+    ({**TOY_SPEC, "prefill": "4"}, "spec.prefill"),
+    ({**TOY_SPEC, "set": "arch.n_devices=2"}, "spec.set"),
+    ({"context": 64}, "spec: missing field(s) ['model']"),
+]
+
+
 def test_sweep_isolates_failing_rows(tmp_path, capsys):
-    spec = write_spec(tmp_path, [TOY_SPEC,
-                                 {"model": "toy", "bogus_key": 1},
+    spec = write_spec(tmp_path, [TOY_SPEC, *(s for s, _ in BAD_ROWS),
                                  TOY_SPEC])
     out = tmp_path / "out.csv"
     rc = cli.main(["sweep", "--spec", str(spec), "--out", str(out)])
     assert rc == 1
     rows = read_rows(out)
     assert len(rows) == 2           # the good rows survive
-    assert "bogus_key" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"{len(BAD_ROWS)} row(s) failed"
+    for i, ((bad, field), line) in enumerate(zip(BAD_ROWS, err), start=1):
+        assert line.startswith(f"row {i} ({bad.get('model')}): "
+                               "ConfigError: "), line
+        assert field in line
 
 
 def test_sweep_output_is_identical_across_worker_counts(tmp_path):
@@ -336,10 +428,80 @@ def test_sweep_rejects_spec_that_is_not_an_object(specs, index, tmp_path,
     spec = write_spec(tmp_path, specs)
     assert cli.main(["sweep", "--spec", str(spec),
                      "--out", str(tmp_path / "out.csv")]) == 2
-    assert capsys.readouterr().err == (
-        f"error: {spec}: spec {index} is not an object\n")
+    assert capsys.readouterr().err.startswith(
+        f"error: {spec}: specs[{index}]: expected an object, got ")
 
 
 def test_run_config_rejects_unknown_strategy():
     with pytest.raises(cli.CliError, match="strategy"):
         cli.run_config({**TOY_SPEC, "strategy": "zz"})
+
+
+# ---------------------------------------------------------------------------
+# every input ends in a result or in one error line
+
+
+# what a mutated field becomes: a wrong type, a non-finite or a negative
+# number, or a value of the right type that may be out of range
+MUTANTS = [None, True, False, -1, -0.5, 0, 2.5, math.nan, math.inf,
+           -math.inf, "x", "4", [1], {}]
+
+
+def _paths(data, prefix=()):
+    """Key paths of every field of a tree of JSON objects."""
+    for key, value in data.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def shipped_inputs(tmp_path_factory):
+    """A shipped config with every arch field spelled out, a sweep spec
+    and a saved toy report, each as a JSON tree, and a directory to
+    write their mutants to."""
+    from dataclasses import asdict
+
+    from cxlpim.config import ArchConfig
+    work = tmp_path_factory.mktemp("mutants")
+    assert cli.main(["simulate", *TOY_ARGS, "--out", str(work / "sim")]) == 0
+    report = json.loads((work / "sim" / "report.json").read_text())
+    return work, {"config": {"model": TOY_MODEL, "arch": asdict(ArchConfig())},
+                  "spec": dict(TOY_SPEC), "report": report}
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_mutated_input_runs_or_ends_in_one_error_line(shipped_inputs,
+                                                        data, capsys):
+    work, inputs = shipped_inputs
+    kind = data.draw(st.sampled_from(sorted(inputs)))
+    tree = json.loads(json.dumps(inputs[kind]))      # a deep copy
+    *parents, key = data.draw(st.sampled_from(list(_paths(tree))))
+    node = tree
+    for p in parents:
+        node = node[p]
+    if data.draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = data.draw(st.sampled_from(MUTANTS))
+    path = work / f"{kind}.json"
+    path.write_text(json.dumps([tree] if kind == "spec" else tree))
+    capsys.readouterr()
+    if kind == "config":
+        argv = ["simulate", "--model", str(path), "--context", "16",
+                "--prefill", "0", "--decode", "4", "--seq-gap", "4"]
+    elif kind == "spec":
+        argv = ["sweep", "--spec", str(path), "--out", str(work / "o.csv")]
+    else:
+        argv = ["report", "--model", "toy", "--report", str(path),
+                "--out", str(work / "rep")]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err.splitlines()
+    if rc == 2:
+        assert len(err) == 1 and err[0].startswith("error: "), err
+    elif rc == 1 and kind == "spec":         # the row failed on its own
+        assert len(err) == 2 and err[0].startswith("row 0 ("), err
+    else:
+        assert rc == 0 and not any("error" in line for line in err), err

@@ -5,7 +5,7 @@ import pytest
 from cxlpim import cli
 from cxlpim.config import (
     LANE, ROW_SLOTS, WORD_B, ArchConfig, ConfigError, ModelSpec,
-    apply_overrides, arch_from_dict, block_footprint, load_config,
+    apply_overrides, block_footprint, build, load_config,
 )
 
 GB = 1024 ** 3
@@ -105,7 +105,7 @@ def test_deleted_arch_field_rejected(path, tmp_path, capsys):
         data = {section: data}
     unknown = rf"unknown field\(s\) \['{name}'\]"
     with pytest.raises(ConfigError, match=unknown):
-        arch_from_dict(data)
+        build(ArchConfig, data, "arch")
     config = tmp_path / "arch.json"
     config.write_text(json.dumps({"arch": data}))
     with pytest.raises(ConfigError, match=unknown):

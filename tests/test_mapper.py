@@ -6,7 +6,7 @@ import pytest
 from cxlpim import compiler
 from cxlpim.config import ArchConfig, ModelSpec, block_footprint
 from cxlpim.mapper import (
-    MappingError, comm_volume, plan_hybrid, plan_pipeline, plan_scaled,
+    MappingError, plan_hybrid, plan_pipeline, plan_scaled,
     plan_tensor,
 )
 
@@ -94,16 +94,10 @@ def test_pipeline_boundary_sends():
     plan = plan_pipeline(LLAMA_70B, ARCH, 4096)
     sends = handoffs(LLAMA_70B, plan)
     assert sends == [(d, d + 1) for d in range(26)]
-    # one 16 KB hidden vector per hand-off
-    assert comm_volume(plan, LLAMA_70B).per_token_B == 26 * 16384
 
 
 def test_tensor_comm_volume_70b():
     plan = plan_tensor(LLAMA_70B, ARCH, 4096)
-    vol = comm_volume(plan, LLAMA_70B)
-    # ~135 KB of activation traffic per block
-    assert 128.25 * 1024 <= vol.per_block_B <= 141.75 * 1024
-    assert vol.per_token_B == vol.per_block_B * 80
     assert collective_kinds(LLAMA_70B, plan) == {
         "MULTICAST": 5 * 80, "GATHER": 5 * 80}
 
@@ -134,8 +128,6 @@ def test_hybrid_tp1_degenerates_to_pipeline():
     key = lambda p: [(a.block, a.devices, a.channels, a.master)
                      for a in p.block_assignments]
     assert key(hyb) == key(pp)
-    assert (comm_volume(hyb, LLAMA_7B).per_token_B
-            == comm_volume(pp, LLAMA_7B).per_token_B)
     assert handoffs(LLAMA_7B, hyb) == handoffs(LLAMA_7B, pp)
 
 
@@ -145,8 +137,6 @@ def test_hybrid_pp1_degenerates_to_tensor():
     key = lambda p: [(a.block, a.devices, a.master)
                      for a in p.block_assignments]
     assert key(hyb) == key(tp)
-    assert (comm_volume(hyb, LLAMA_70B).per_token_B
-            == comm_volume(tp, LLAMA_70B).per_token_B)
     assert handoffs(LLAMA_70B, hyb) == handoffs(LLAMA_70B, tp) == []
 
 
