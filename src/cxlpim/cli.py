@@ -350,8 +350,7 @@ def _save_run_artifacts(out: Path, er, tco, ratios) -> None:
     out.mkdir(parents=True, exist_ok=True)
     er.save(out / "energy.json")
     tco.save(out / "tco.json")
-    if ratios is not None:
-        (out / "ratios.json").write_text(json.dumps(ratios, indent=2) + "\n")
+    (out / "ratios.json").write_text(json.dumps(ratios, indent=2) + "\n")
 
 
 def _gpu_reference(args, arch: ArchConfig) -> dict:
@@ -362,9 +361,7 @@ def _gpu_reference(args, arch: ArchConfig) -> dict:
     return arch.cost.gpu_reference or energycost.load_reference_figures()
 
 
-def _ratios(rep_tokens_per_s, er, tco, reference: dict | None):
-    if not reference:
-        return None
+def _ratios(rep_tokens_per_s, er, tco, reference: dict) -> dict:
     ours = {"tokens_per_s": rep_tokens_per_s,
             "tokens_per_J": er.tokens_per_J,
             "tco_USD_per_hr": tco.owned_USD_per_hr}
@@ -500,7 +497,7 @@ def main(argv=None) -> int:
     except (CliError, ConfigError, mapper.MappingError,
             compiler.CompileError, isa.IsaError, timesim.TimingError,
             energycost.EnergyError, energycost.CostError, OSError,
-            OverflowError, json.JSONDecodeError) as e:
+            json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
+import sys
 import types
 import typing
 from dataclasses import dataclass, field
@@ -40,6 +40,8 @@ RED_TREES = 32      # PNM reduction trees; one RED micro-op feeds all
 
 PARAMS_DIR = Path(__file__).parent / "params"
 CONFIGS_DIR = Path(__file__).parent / "configs"
+# abs(v) <= FLOAT_MAX fails for NaN, the infinities and ints too large
+FLOAT_MAX = sys.float_info.max
 
 
 class ConfigError(ValueError):
@@ -52,7 +54,7 @@ def check_numbers(obj, positive: bool, but: tuple = ()) -> None:
     for f in dataclasses.fields(obj):
         v = getattr(obj, f.name)
         strict = positive != (f.name in but)
-        if type(v) in (int, float) and (not math.isfinite(v) or v < 0
+        if type(v) in (int, float) and (not abs(v) <= FLOAT_MAX or v < 0
                                         or (strict and v == 0)):
             raise ConfigError(f"{f.name} must be finite and "
                               f"{'positive' if strict else '>= 0'}, got {v}")
@@ -258,7 +260,7 @@ def typed(value, hint, where: str):
     float and stores it as a float. `X | None`, `list[X]` and
     `dict[str, X]` check their items."""
     if hint is float:
-        if type(value) in (int, float) and math.isfinite(value):
+        if type(value) in (int, float) and abs(value) <= FLOAT_MAX:
             return float(value)
     elif type(value) is hint:
         return value

@@ -258,23 +258,32 @@ SAVED_REPORT = {
 }
 
 
-@pytest.mark.parametrize("data", [
-    [1, 2], {"tokens_per_s": 1},
+# each file and the one stderr line that `report` must print for it
+REPORT_ERRORS = [
+    ([1, 2], "report: expected an object, got [1, 2]"),
+    ({"tokens_per_s": 1}, "report: missing field(s) "
+     + str([k for k in SAVED_REPORT if k != "tokens_per_s"])),
     # every field is checked against its type, nested tables too
-    {**SAVED_REPORT, "tokens_per_s": "x"},
-    {**SAVED_REPORT, "decode_tokens": 8.5},
-    {**SAVED_REPORT, "breakdown_ns": {"pim": "fast"}},
-    {**SAVED_REPORT, "tokens_per_s": math.nan},
-])
-def test_report_rejects_a_file_that_is_no_saved_report(data, tmp_path,
-                                                       capsys):
+    ({**SAVED_REPORT, "tokens_per_s": "x"},
+     "report.tokens_per_s: expected a finite number, got 'x'"),
+    ({**SAVED_REPORT, "decode_tokens": 8.5},
+     "report.decode_tokens: expected an integer, got 8.5"),
+    ({**SAVED_REPORT, "breakdown_ns": {"pim": "fast"}},
+     "report.breakdown_ns.pim: expected a finite number, got 'fast'"),
+    ({**SAVED_REPORT, "tokens_per_s": math.nan},
+     "report.tokens_per_s: expected a finite number, got nan"),
+]
+
+
+@pytest.mark.parametrize("data, message", REPORT_ERRORS,
+                         ids=[f"data{i}" for i in range(len(REPORT_ERRORS))])
+def test_report_rejects_a_file_that_is_no_saved_report(data, message,
+                                                       tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(data))
     assert cli.main(["report", "--model", "toy", "--report", str(path),
                      "--out", str(tmp_path / "rep")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: report")
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
     assert not (tmp_path / "rep").exists()
 
 
@@ -428,8 +437,9 @@ def test_sweep_rejects_spec_that_is_not_an_object(specs, index, tmp_path,
     spec = write_spec(tmp_path, specs)
     assert cli.main(["sweep", "--spec", str(spec),
                      "--out", str(tmp_path / "out.csv")]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"error: {spec}: specs[{index}]: expected an object, got ")
+    assert capsys.readouterr().err == (
+        f"error: {spec}: specs[{index}]: expected an object, "
+        f"got {specs[index]!r}\n")
 
 
 def test_run_config_rejects_unknown_strategy():
