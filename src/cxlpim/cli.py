@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import compiler, energycost, isa, mapper, timesim
 from .config import (CONFIGS_DIR, WORD_B, ArchConfig, ConfigError, ModelSpec,
-                     apply_overrides, build, load_config, typed)
+                     apply_overrides, build, load_config, load_json, typed)
 
 CSV_COLUMNS = ["model", "n_devices", "strategy", "tp", "pp", "dp", "batch",
                "prefill_ms", "decode_ms_per_token", "tokens_per_s",
@@ -399,7 +399,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_report(args) -> int:
     model, arch = _load_configs(args.model, args.arch, args.set)
-    data = json.loads(Path(args.report).read_text())
+    data = load_json(Path(args.report).read_text(), args.report)
     rep = build(timesim.SimReport, data, f"{args.report}: report")
     er, tco = _price(rep, arch)
     ratios = _ratios(rep.tokens_per_s, er, tco, _gpu_reference(args, arch))
@@ -409,8 +409,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    specs = typed(json.loads(Path(args.spec).read_text()), list[dict],
-                  f"{args.spec}: specs")
+    specs = typed(load_json(Path(args.spec).read_text(), args.spec),
+                  list[dict], f"{args.spec}: specs")
     failures = run_sweep(specs, args.out, workers=args.workers)
     if failures:
         print(f"{failures} row(s) failed", file=sys.stderr)
@@ -496,8 +496,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (CliError, ConfigError, mapper.MappingError,
             compiler.CompileError, isa.IsaError, timesim.TimingError,
-            energycost.EnergyError, energycost.CostError, OSError,
-            json.JSONDecodeError) as e:
+            energycost.EnergyError, energycost.CostError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -48,6 +48,28 @@ class ConfigError(ValueError):
     pass
 
 
+class JsonSyntaxError(ConfigError):
+    """Text that does not parse as JSON."""
+
+
+def load_json(text: str, where) -> Any:
+    """`text` read as JSON, the one reader of JSON from outside the
+    program. What `json` cannot read ends in a ConfigError naming
+    `where`: a syntax error (a JsonSyntaxError), an integer with more
+    digits than the interpreter converts, which `json` raises as a
+    plain ValueError, or arrays or objects nested past the recursion
+    limit."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise JsonSyntaxError(f"{where}: line {e.lineno}: {e.msg}") from None
+    except ValueError:
+        raise ConfigError(f"{where}: an integer has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:
+        raise ConfigError(f"{where}: nested too deeply") from None
+
+
 def check_numbers(obj, positive: bool, but: tuple = ()) -> None:
     """Every number field of `obj` must be finite and >= 0, and > 0 if
     `positive` unless it is named in `but` (and the other way round)."""
@@ -308,10 +330,7 @@ def load_config(path: str | Path) -> tuple[ModelSpec, ArchConfig]:
     Missing sections and missing optional fields take the defaults above.
     """
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: line {e.lineno}: {e.msg}") from e
+    data = load_json(path.read_text(), path)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
     # a bare model file (no section keys) is accepted for convenience
@@ -329,12 +348,12 @@ def apply_overrides(obj, overrides: dict[str, Any], where: str = ""):
     string value read as JSON if it parses (else as a string) and then
     checked by `typed`; `where` names `obj` in error messages."""
     for key, value in overrides.items():
+        path = f"{where}.{key}" if where else key
         if isinstance(value, str):
             try:
-                value = json.loads(value)
-            except json.JSONDecodeError:
+                value = load_json(value, path)
+            except JsonSyntaxError:
                 pass
-        path = f"{where}.{key}" if where else key
         obj = _set_path(obj, key.split("."), value, path)
     return obj
 

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .config import (BANKS, PARAMS_DIR, ArchConfig, CostParams, EnergyParams,
-                     GpuReference, build)
+                     GpuReference, build, load_json)
 
 
 class EnergyError(ValueError):
@@ -41,7 +41,7 @@ def load_reference_figures(path=None) -> dict:
     """Load externally supplied reference-system figures for ratios,
     checked as a `config.GpuReference`."""
     path = Path(path) if path else PARAMS_DIR / "gpu_reference.json"
-    data = json.loads(path.read_text())
+    data = load_json(path.read_text(), path)
     build(GpuReference, data, f"{path}: gpu_reference")
     return data
 

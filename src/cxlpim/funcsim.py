@@ -263,18 +263,19 @@ class MemoryImage:
 # ---------------------------------------------------------------------------
 # image loaders driven by the compiler's layout
 
-def load_gemv_weights(image: MemoryImage, pl: TensorPlacement,
+def load_gemv_weights(image: MemoryImage, device: int, pl: TensorPlacement,
                       matrix) -> None:
-    """Store a (rows, cols) matrix per the row-per-bank placement. The
-    matrix is indexed with the placement's local coordinates; col_perm
-    maps each physical column position to the logical column it holds."""
+    """Store a (rows, cols) matrix on `device` per the row-per-bank
+    placement. The matrix is indexed with the placement's local
+    coordinates; col_perm maps each physical column position to the
+    logical column it holds."""
     w = np.asarray(matrix, dtype=np.float32)
     if w.shape != (pl.rows, pl.cols):
         raise SimError(f"{pl.name}: matrix shape {w.shape} does not match "
                        f"placement ({pl.rows}, {pl.cols})")
     if pl.col_perm is not None:
         w = w[:, np.asarray(pl.col_perm)]
-    st = image.device(pl.device)
+    st = image.device(device)
     for j in range(pl.n_groups):
         ch, _ = pl.group_channel(j)
         group = bf16_round(w[j * LANE:(j + 1) * LANE])    # row r -> bank r
@@ -355,10 +356,12 @@ def load_block_weights(image: MemoryImage, layout: Layout, block: int,
     bl = layout.blocks[block]
     for name in ("q", "k", "v", "o", "gate", "up", "down"):
         full = np.asarray(weights[name], dtype=np.float32)
-        for pl in bl.placements[name].values():
-            sub = full[pl.row_offset:pl.row_offset + pl.rows,
-                       pl.col_offset:pl.col_offset + pl.cols]
-            load_gemv_weights(image, pl, sub)
+        # device di holds the di-th share: columns of down, else rows
+        for di, dev in enumerate(bl.tp_group):
+            pl = bl.placements[name][dev]
+            sub = (full[:, di * pl.cols:(di + 1) * pl.cols] if name == "down"
+                   else full[di * pl.rows:(di + 1) * pl.rows])
+            load_gemv_weights(image, dev, pl, sub)
     for name in ("w_rms1", "w_rms2"):
         load_ew_weights(image, bl.placements[name][bl.master],
                         weights[name])

@@ -51,10 +51,10 @@ def test_toy_model_matches_float_reference_within_budget():
     rows, cols = 32, 256
     w = funcsim.bf16(rng.normal(scale=0.05, size=(rows, cols)))
     x = funcsim.bf16(rng.normal(size=cols))
-    pl = compiler.TensorPlacement(name="w", device=0, channels=(0,),
+    pl = compiler.TensorPlacement(name="w", channels=(0,),
                                   rows=rows, cols=cols, base_row=0)
     img = funcsim.MemoryImage(ARCH)
-    funcsim.load_gemv_weights(img, pl, w)
+    funcsim.load_gemv_weights(img, 0, pl, w)
     img.write_slots(0, 0, np.zeros(16))    # the shared zero pad
     img.write_slots(0, 100, x)
     trace = lower(lambda em: compiler.emit_gemv(
@@ -125,7 +125,7 @@ def _bracket_rule_ns(insts, t):
 
 
 def _compiled_gemv(rows, cols, channels):
-    pl = compiler.TensorPlacement(name="w", device=0,
+    pl = compiler.TensorPlacement(name="w",
                                   channels=tuple(range(channels)),
                                   rows=rows, cols=cols, base_row=0)
     sink = compiler.ListSink(0, ARCH)

@@ -17,6 +17,10 @@ TOY_SPEC = {"model": "toy", "context": 64, "prefill": 4, "decode": 8,
 
 TOY_MODEL = json.loads((CONFIGS_DIR / "toy.json").read_text())["model"]
 
+# an integer with more digits than the interpreter converts: json
+# cannot write it, so the files that hold it are JSON text
+HUGE = "1" * 5001
+
 # input files of the error cases below, written to the working directory
 BAD_FILES = {
     "layers_float.json": {"model": {**TOY_MODEL, "n_layers": 2.5}},
@@ -29,6 +33,10 @@ BAD_FILES = {
     "timing_number.json": {"arch": {"timing": 5}},
     "gpu_partial.json": {"tokens_per_s": 10},
     "gpu_list.json": [1],
+    "layers_digits.json": json.dumps({"model": {**TOY_MODEL, "n_layers": 0}})
+    .replace('"n_layers": 0', f'"n_layers": {HUGE}'),
+    "gpu_digits.json": f'{{"tokens_per_s": {HUGE}}}',
+    "specs_digits.json": f'[{{"model": "toy", "context": {HUGE}}}]',
 }
 
 
@@ -123,6 +131,14 @@ def test_verify_two_device_pipeline_passes(capsys):
     ["simulate", "--model", "name_number.json", "--out", "out"],
     # an integer too large for a float
     ["simulate", "--model", "layers_huge.json", "--out", "out"],
+    # ... and one with more digits than the interpreter converts, in a
+    # file, a --set value, a GPU reference or a sweep spec
+    ["simulate", "--model", "layers_digits.json", "--out", "out"],
+    ["simulate", *TOY_ARGS, "--set", f"model.n_layers={HUGE}",
+     "--out", "out"],
+    ["simulate", *TOY_ARGS, "--gpu-reference", "gpu_digits.json",
+     "--out", "out"],
+    ["sweep", "--spec", "specs_digits.json", "--out", "out"],
     # ... and a section is an object
     ["simulate", "--model", "arch_list.json", "--out", "out"],
     # ... and a file holds no section but model and arch
@@ -154,7 +170,8 @@ def test_lowering_errors_exit_2_with_one_line(argv, capsys, tmp_path,
                                               monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, data in BAD_FILES.items():
-        (tmp_path / name).write_text(json.dumps(data))
+        (tmp_path / name).write_text(
+            data if isinstance(data, str) else json.dumps(data))
     assert cli.main(argv) == 2
     assert not (tmp_path / "out").exists()
     err = capsys.readouterr().err
@@ -272,6 +289,10 @@ REPORT_ERRORS = [
      "report.breakdown_ns.pim: expected a finite number, got 'fast'"),
     ({**SAVED_REPORT, "tokens_per_s": math.nan},
      "report.tokens_per_s: expected a finite number, got nan"),
+    # JSON text: what json cannot read names the file
+    (f'{{"tokens_per_s": {HUGE}}}', "an integer has more than 4300 digits"),
+    ('{"tokens_per_s": ', "line 1: Expecting value"),
+    ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
 ]
 
 
@@ -280,7 +301,7 @@ REPORT_ERRORS = [
 def test_report_rejects_a_file_that_is_no_saved_report(data, message,
                                                        tmp_path, capsys):
     path = tmp_path / "report.json"
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     assert cli.main(["report", "--model", "toy", "--report", str(path),
                      "--out", str(tmp_path / "rep")]) == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
@@ -390,6 +411,8 @@ BAD_ROWS = [
     ({**TOY_SPEC, "prefill": "4"}, "spec.prefill"),
     ({**TOY_SPEC, "set": "arch.n_devices=2"}, "spec.set"),
     ({"context": 64}, "spec: missing field(s) ['model']"),
+    ({**TOY_SPEC, "set": [f"model.n_layers={HUGE}"]},
+     "model.n_layers: an integer has more than 4300 digits"),
 ]
 
 

@@ -3,7 +3,7 @@ import pickle
 
 import pytest
 
-from cxlpim.config import (CONFIGS_DIR, ROW_SLOTS, WORD_B, ArchConfig,
+from cxlpim.config import (CONFIGS_DIR, LANE, ROW_SLOTS, WORD_B, ArchConfig,
                            ModelSpec, load_config)
 from cxlpim.isa import IsaError, make_instruction, validate_trace
 from cxlpim.mapper import plan_hybrid, plan_pipeline, plan_tensor
@@ -34,7 +34,7 @@ TP4 = ModelSpec(name="tp4", n_layers=2, d_model=256, n_heads=4,
 
 
 def gemv_placement(rows, cols, channels=(0,), base_row=0):
-    return TensorPlacement(name="w", device=0, channels=tuple(channels),
+    return TensorPlacement(name="w", channels=tuple(channels),
                            rows=rows, cols=cols, base_row=base_row)
 
 
@@ -688,7 +688,11 @@ def _perturbed_tp4_layout(plan):
         bl.ewmul_row[third] += 1
         for by_dev in bl.placements.values():
             if fourth in by_dev:
-                by_dev[fourth].base_row += 1
+                # devices may share one placement object: give the
+                # fourth its own, so only it moves
+                by_dev[fourth] = dataclasses.replace(
+                    by_dev[fourth], base_row=by_dev[fourth].base_row + 1)
+                assert by_dev[fourth].base_row != by_dev[first].base_row
     return layout
 
 
@@ -754,14 +758,68 @@ def test_riscv_piece_appends_to_its_own_device():
 
 def test_row_allocator_spans_channels_from_their_highest_free_row():
     alloc = compiler._RowAlloc(ARCH.rows_per_bank)
-    assert alloc.take(0, (0,), 3) == 0
-    assert alloc.take(0, (0, 1), 0) == 3      # a zero take writes nothing
-    assert alloc.take(0, (1,), 2) == 0
-    assert alloc.take(0, (0, 1), 4) == 3
-    assert alloc.take(0, (1,), 1) == 7
-    assert alloc.take(1, (0, 1), 1) == 0      # devices are independent
-    with pytest.raises(CompileError, match="rows exhausted"):
-        alloc.take(0, (0,), ARCH.rows_per_bank)
+    assert alloc.take([0], (0,), 3) == [(0, [0])]
+    assert alloc.take([0], (0, 1), 0) == [(3, [0])]   # a zero take writes nothing
+    assert alloc.take([0], (1,), 2) == [(0, [0])]
+    assert alloc.take([0], (0, 1), 4) == [(3, [0])]
+    assert alloc.take([0], (1,), 1) == [(7, [0])]
+    assert alloc.take([1], (0, 1), 1) == [(0, [1])]   # devices are independent
+    # devices that have taken the same regions get one base row
+    assert alloc.take([2, 3, 4], (0, 1), 2) == [(0, [2, 3, 4])]
+    assert alloc.take([3], (0,), 5) == [(2, [3])]
+    assert alloc.take([2, 3, 4], (0, 1), 1) == [(2, [2, 4]), (7, [3])]
+    # one base row per history, in the order of each one's first device
+    assert alloc.take([0, 1, 2, 3, 4], (1,), 1) == [
+        (8, [0]), (1, [1]), (3, [2, 4]), (8, [3])]
+    # a take on one device of a shared cursor leaves the others' rows
+    assert alloc.take([2], (0, 1), 4) == [(4, [2])]
+    assert alloc.take([4], (0, 1), 1) == [(4, [4])]
+    with pytest.raises(CompileError, match="^device 0: DRAM rows exhausted"):
+        alloc.take([0], (0,), ARCH.rows_per_bank)
+    # the message names the device that ran out, not the first one asked
+    with pytest.raises(CompileError, match="^device 0: DRAM rows exhausted"):
+        alloc.take([1, 0], (0,), ARCH.rows_per_bank - 2)
+
+
+def test_layout_rows_and_shared_placements_are_pinned(monkeypatch):
+    """Sharing a placement among devices with one allocation history
+    leaves every device's rows where a per-device allocator put them:
+    the row past each device's highest region is pinned, as measured
+    on that allocator."""
+    highest: dict = {}
+    take = compiler._RowAlloc.take
+
+    def recording(self, devices, channels, n):
+        got = take(self, devices, channels, n)
+        for base, devs in got:
+            for d in devs:
+                highest[d] = max(highest.get(d, 0), base + n)
+        return got
+    monkeypatch.setattr(compiler._RowAlloc, "take", recording)
+    fcs = ("q", "k", "v", "o", "gate", "up", "down")
+    for plan, master_rows, other_rows in (
+            (plan_tensor(LLAMA_70B, ARCH, 4096), 12359, 6402),
+            (plan_hybrid(LLAMA_70B, ARCH, tp=4, pp=8, context=4096),
+             5365, 4168)):
+        highest.clear()
+        layout = build_layout(LLAMA_70B, plan, ARCH)
+        masters = {bl.master for bl in layout.blocks}
+        assert highest == {d: master_rows if d in masters else other_rows
+                           for d in range(32)}
+        for bl in layout.blocks:
+            for name in fcs:
+                assert list(bl.placements[name]) == list(bl.tp_group)
+                if plan.strategy == "TP":
+                    assert len(set(map(id, bl.placements[name].values()))
+                               ) <= 2
+            # down's columns are stored in the order the gate pass on
+            # the same device produces its rows: channel by channel
+            for dev in bl.tp_group:
+                gate = bl.placements["gate"][dev]
+                assert bl.placements["down"][dev].col_perm == tuple(
+                    c for ch in gate.channels
+                    for j in gate.channel_groups(ch)
+                    for c in range(j * LANE, (j + 1) * LANE))
 
 
 def test_config_pickles_after_lowering():

@@ -45,14 +45,14 @@ def random_weights(model, rng, scale=0.05):
 
 
 def gemv_placement(rows, cols, channels=(0,)):
-    return C.TensorPlacement(name="w", device=0, channels=channels,
+    return C.TensorPlacement(name="w", channels=channels,
                              rows=rows, cols=cols, base_row=0)
 
 
 def run_gemv(rows, cols, w, x, channels=(0,)):
     pl = gemv_placement(rows, cols, channels)
     img = MemoryImage(ARCH)
-    load_gemv_weights(img, pl, w)
+    load_gemv_weights(img, 0, pl, w)
     img.write_slots(0, 0, np.zeros(16))
     img.write_slots(0, 100, x)
     run_trace([lower(lambda em: C.emit_gemv(em, [C.GemvJob(pl, 1024)],

@@ -32,7 +32,7 @@ LLAMA_70B = ModelSpec(name="llama2-70b", n_layers=80, d_model=8192,
 def compiled_gemv(rows, cols, channels=1):
     """Trace summary of one rows x cols GEMV as the compiler lowers it,
     its row groups dealt over `channels` channels of device 0."""
-    pl = compiler.TensorPlacement(name="w", device=0,
+    pl = compiler.TensorPlacement(name="w",
                                   channels=tuple(range(channels)),
                                   rows=rows, cols=cols, base_row=0)
     sink = compiler.CountSink(0, ARCH)
@@ -281,7 +281,7 @@ def test_bad_query_shapes_rejected():
 def test_gemv_work_conservation():
     # every MAC micro-op is 16 bank-columns x 16 lanes x mul-add
     pl = compiler.TensorPlacement(
-        name="w", device=0, channels=(0,), rows=16, cols=1024, base_row=0)
+        name="w", channels=(0,), rows=16, cols=1024, base_row=0)
     insts = lower(lambda em: compiler.emit_gemv(
         em, [compiler.GemvJob(pl, 1024)], ("SB", 0), 0)).instructions
     mac = sum(isa.microop_count(i.opcode, i.operands) for i in insts
