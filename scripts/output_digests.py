@@ -16,7 +16,9 @@ bool field; `cxlpim report --out` on the saved pp70b report;
 `cxlpim compile --out` on llama2-70B tensor parallel (position 2048),
 on toy over 2 devices, on llama2-70B scaled over 80 devices (two
 pipeline replicas, context 2048) and on llama2-70B hybrid tp4 x pp8
-(position 2048), and `cxlpim sweep` over a small spec list.
+(position 2048), and `cxlpim sweep` over a small spec list whose
+llama2-70B scaled rows over 16 and 32 devices (context 2048, one
+position each) share one lowering of their block class.
 Each runs in this process through `cli.main`, against the `src/` next
 to this script, so two checkouts can be compared line by line:
 
@@ -91,6 +93,10 @@ SWEEP = [
      "decode": 4096, "seq_gap": 4096},
     {"model": "llama2_70b", "strategy": "hybrid", "tp": 8, "pp": 4,
      "prefill": 0, "decode": 4096, "seq_gap": 4096},
+    {"model": "llama2_70b", "strategy": "scaled", "devices": 16,
+     "context": 2048, "prefill": 0, "decode": 2048, "seq_gap": 2048},
+    {"model": "llama2_70b", "strategy": "scaled", "devices": 32,
+     "context": 2048, "prefill": 0, "decode": 2048, "seq_gap": 2048},
 ]
 
 

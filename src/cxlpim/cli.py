@@ -133,18 +133,22 @@ class RunSpec:
     set: list[str] | None = None      # --set overrides, key=value each
 
 
-def run_config(spec: dict) -> dict:
+def run_config(spec: dict, segment_cache: dict | None = None) -> dict:
     """Execute one configuration (the keys of `RunSpec`); returns the
-    CSV row as a dict."""
+    CSV row as a dict. Configurations run with one `segment_cache`
+    lower each block geometry's position-invariant segments once (see
+    `compiler.block_summaries`)."""
     s = build(RunSpec, spec, "spec")
     model, arch = _load_configs(s.model, s.arch, s.set)
     context = model.max_context if s.context is None else s.context
     decode = max(1, context - s.prefill) if s.decode is None else s.decode
     plan = _build_plan(model, arch, s.strategy, s.tp, s.pp, s.devices,
                        context)
+    layout = compiler.build_layout(model, plan, arch, segment_cache)
     rep = timesim.simulate_system(model, plan, arch,
                                   prefill_tokens=s.prefill,
-                                  decode_tokens=decode, seq_gap=s.seq_gap)
+                                  decode_tokens=decode, seq_gap=s.seq_gap,
+                                  layout=layout)
     er, tco = _price(rep, arch)
     return {
         "model": model.name,
@@ -177,27 +181,48 @@ def _expand_specs(specs: list[dict]) -> list[dict]:
     return out
 
 
-def _run_indexed(item: tuple[int, dict]) -> tuple[int, str, object]:
+def _run_indexed(item: tuple[int, dict],
+                 segment_cache: dict) -> tuple[int, str, object]:
     i, spec = item
     try:
-        return i, "ok", run_config(spec)
+        return i, "ok", run_config(spec, segment_cache)
     except Exception as e:  # isolate the row; the sweep continues
         return i, "error", f"{type(e).__name__}: {e}"
+
+
+# the block segment cache of a sweep's worker process, for its lifetime
+_worker_segments: dict = {}
+
+
+def _start_worker() -> None:
+    global _worker_segments
+    _worker_segments = {}
+
+
+def _run_in_worker(item: tuple[int, dict]) -> tuple[int, str, object]:
+    return _run_indexed(item, _worker_segments)
 
 
 def run_sweep(specs: list[dict], out_path, workers: int = 1) -> int:
     """Run all specs, write the CSV, return the number of failed rows.
 
     Rows appear in spec order and the output bytes do not depend on the
-    worker count.
+    worker count. Rows share one cache of block segments (one per
+    worker process), so rows with the same model, arch layout numbers
+    and block geometry lower each block class once. No more workers
+    start than there are rows.
     """
+    if workers < 1:
+        raise CliError(f"--workers must be positive, got {workers}")
     specs = _expand_specs(specs)
     items = list(enumerate(specs))
-    if workers <= 1 or len(items) <= 1:
-        results = [_run_indexed(it) for it in items]
+    if workers == 1 or len(items) <= 1:
+        segment_cache: dict = {}
+        results = [_run_indexed(it, segment_cache) for it in items]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_indexed, items))
+        with ProcessPoolExecutor(max_workers=min(workers, len(items)),
+                                 initializer=_start_worker) as pool:
+            results = list(pool.map(_run_in_worker, items))
     results.sort(key=lambda r: r[0])
     failures = 0
     with open(out_path, "w", newline="") as fh:

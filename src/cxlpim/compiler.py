@@ -34,10 +34,12 @@ attention core (RoPE, KV append, per-head attention) and after_core
 token position. The module has two entry points, and both run these
 segments. compile_token lowers every block whole into ListSinks for the
 functional simulator. block_summaries, the counting path that timing
-and energy read, caches the two position-invariant segments per layout
-and structure class as unfinished CountSinks and composes them with the
-core lowered at each position; that is exact because CountSink keeps
-each channel's first and last DRAM-row bracket open until finish().
+and energy read, caches the two position-invariant segments as
+unfinished CountSinks and composes them with the core lowered at each
+position; that is exact because CountSink keeps each channel's first
+and last DRAM-row bracket open until finish(). The cache is keyed by
+the block's geometry with devices named by role, so layouts built with
+one cache (the rows of a sweep) lower each block geometry once.
 
 Inside the core, query heads that share a KV head (grouped-query
 attention) differ only in the Shared Buffer slots they read q from and
@@ -195,6 +197,11 @@ class EwWeightPlacement:
     channel: int
     base_row: int
     n_slots: int
+
+    @property
+    def geometry(self) -> tuple:
+        """The fields the lowering reads, all but the device."""
+        return self.channel, self.base_row, self.n_slots
 
     @property
     def quarter(self) -> int:
@@ -626,8 +633,12 @@ class Layout:
     sb: SbMap
     blocks: list[BlockLayout]    # plan order: a replica's blocks ascend
     zero_rows: dict              # (device, channel) -> row ranges
-    # structure key -> (before_core, after_core) unfinished CountSinks per
-    # tp role; filled by block_summaries on first use
+    # _segment_key -> (before_core, after_core), each a tuple of
+    # unfinished CountSinks by tp role; layouts given one dict share it
+    segment_cache: dict = field(default_factory=dict, repr=False,
+                                compare=False)
+    # structure key -> its entry of segment_cache, filled by
+    # block_summaries on first use
     invariant_segments: dict = field(default_factory=dict, repr=False,
                                      compare=False)
 
@@ -689,11 +700,15 @@ def _fc_shapes(model: ModelSpec) -> list[tuple[str, int, int]]:
             ("down", d, model.d_ff)]
 
 
-def build_layout(model: ModelSpec, plan: MappingPlan,
-                 arch: ArchConfig) -> Layout:
+def build_layout(model: ModelSpec, plan: MappingPlan, arch: ArchConfig,
+                 segment_cache: Optional[dict] = None) -> Layout:
     """Place every block of `plan`. A tensor-parallel share is placed
     once for each subset of the group's devices whose rows are alike,
-    and those devices hold one placement object."""
+    and those devices hold one placement object.
+
+    `segment_cache` becomes the layout's cache of position-invariant
+    block segments (see `block_summaries`): layouts built with one dict
+    lower each block geometry once. Without it the layout gets its own."""
     sb = _build_sb_map(model, arch)
     alloc = _RowAlloc(arch.rows_per_bank)
     zero_rows: dict = {}
@@ -811,7 +826,8 @@ def build_layout(model: ModelSpec, plan: MappingPlan,
             ewmul_row=ew_row, gated_scratch_row=gated_row,
             score_scratch_row=score_row))
 
-    return Layout(model, arch, plan, sb, blocks, zero_rows)
+    return Layout(model, arch, plan, sb, blocks, zero_rows,
+                  {} if segment_cache is None else segment_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -1361,10 +1377,10 @@ def compile_token(model: ModelSpec, plan: MappingPlan, token_pos: int,
     Every block is lowered whole, segment after segment, into one
     ListSink per device, on `layout` (built for the default ArchConfig
     when not given). Nothing is cached here: the segment cache in
-    `layout.invariant_segments` belongs to `block_summaries`, the
-    counting path that timing and energy read, and it holds only
-    because `BlockLowering.attention_core` is the one segment that
-    reads `token_pos`.
+    `layout.segment_cache` belongs to `block_summaries`, the counting
+    path that timing and energy read, and it holds only because
+    `BlockLowering.attention_core` is the one segment that reads
+    `token_pos`.
     """
     check_position(model, token_pos)
     layout = layout or build_layout(model, plan, ArchConfig())
@@ -1420,6 +1436,30 @@ def _structure_key(bl: BlockLayout) -> tuple:
     return (len(bl.tp_group), tuple(map(len, bl.assignment.channels)))
 
 
+def _segment_key(layout: Layout, bl: BlockLayout) -> tuple:
+    """What the position-invariant segments of `bl` are lowered from,
+    with each device named by its role (index in `bl.tp_group`): the
+    model's dimensions, the arch numbers of the ISA rules (which also
+    size the Shared Buffer map and bound the row allocator) and the
+    block's whole geometry. No timing, energy or cost field is in it,
+    since the lowering reads none. Blocks with equal keys, in any
+    layouts, lower these segments to equal sinks role by role."""
+    model = layout.model
+    role = {d: di for di, d in enumerate(bl.tp_group)}
+    return (
+        tuple(getattr(model, f.name) for f in dataclasses.fields(model)
+              if f.name != "name"),
+        isa.rule_numbers(layout.arch),
+        role[bl.master],
+        tuple((name, tuple((role[d], pl.geometry) for d, pl in by_dev.items()))
+              for name, by_dev in bl.placements.items()),
+        tuple(map(dataclasses.astuple, bl.kv)),
+        bl.norm_channel, bl.rms_input_row, bl.rope_base_row, bl.rope_rows,
+        tuple(sorted(bl.score_scratch_row.items())),
+        tuple((role[d], row) for d, row in bl.ewmul_row.items()),
+        tuple((role[d], row) for d, row in bl.gated_scratch_row.items()))
+
+
 @dataclass
 class BlockClassSummary:
     """Counters for one structurally-identical class of blocks."""
@@ -1452,12 +1492,14 @@ def block_summaries(model: ModelSpec, plan: MappingPlan, arch: ArchConfig,
     Each class is counted on its first block. Only
     `BlockLowering.attention_core` reads the position, so the segments
     before and after it lower to the same instructions at every
-    position. They are lowered once per layout and class, on first use,
-    and kept as unfinished CountSinks in `layout.invariant_segments`, so
-    a `layout` built for another model, plan or arch raises
-    CompileError. Each call lowers only the core at `token_pos` and
-    composes the three segments with `CountSink.append`, which gives
-    exactly the summary of lowering the whole block into one CountSink.
+    position. They are kept as unfinished CountSinks by tp role in
+    `layout.segment_cache`, under the block's `_segment_key`, which is
+    computed once per layout and class: layouts that share the cache
+    (the rows of one sweep) lower each block geometry once. A `layout`
+    built for another model, plan or arch raises CompileError. Each
+    call lowers only the core at `token_pos` and composes the three
+    segments with `CountSink.append`, which gives exactly the summary
+    of lowering the whole block into one CountSink.
     Inside each segment, the pieces that several devices of a
     tensor-parallel group run alike are lowered once and appended to
     each of them (see `BlockLowering`). The returned summaries are new
@@ -1483,11 +1525,15 @@ def block_summaries(model: ModelSpec, plan: MappingPlan, arch: ArchConfig,
         count, rep = classes[key]
         invariant = layout.invariant_segments.get(key)
         if invariant is None:
-            invariant = layout.invariant_segments[key] = (
-                _count_segment(layout, rep, token_pos, arch,
-                               BlockLowering.before_core),
-                _count_segment(layout, rep, token_pos, arch,
-                               BlockLowering.after_core))
+            cache, seg_key = layout.segment_cache, _segment_key(layout, rep)
+            invariant = cache.get(seg_key)
+            if invariant is None:
+                invariant = cache[seg_key] = (
+                    _count_segment(layout, rep, token_pos, arch,
+                                   BlockLowering.before_core),
+                    _count_segment(layout, rep, token_pos, arch,
+                                   BlockLowering.after_core))
+            layout.invariant_segments[key] = invariant
         before, after = invariant
         core = _count_segment(layout, rep, token_pos, arch,
                               BlockLowering.attention_core)
@@ -1495,16 +1541,17 @@ def block_summaries(model: ModelSpec, plan: MappingPlan, arch: ArchConfig,
         for di, dev in enumerate(rep.tp_group):
             sink = CountSink(dev, arch)
             for seg in (before, core, after):
-                sink.append(seg[dev])
+                sink.append(seg[di])
             summaries[di] = sink.finish()
         out.append(BlockClassSummary(count, rep, summaries))
     return out
 
 
 def _count_segment(layout: Layout, bl: BlockLayout, position: int,
-                   arch: ArchConfig, segment) -> dict:
-    """Unfinished CountSink per device of `bl`'s group holding one block
-    segment (a BlockLowering method) at `position`."""
+                   arch: ArchConfig, segment) -> tuple:
+    """Unfinished CountSinks holding one block segment (a BlockLowering
+    method) at `position`, one per device of `bl`'s group in role
+    order."""
     sinks = {d: CountSink(d, arch) for d in bl.tp_group}
     segment(BlockLowering(layout, bl, position, sinks))
-    return sinks
+    return tuple(sinks.values())

@@ -178,10 +178,16 @@ def _operand_rules(cfg: Optional[ArchConfig]) -> dict[str, _Rule]:
     cached = getattr(cfg, "_isa_rules", None)
     if cached is not None:
         return cached
-    rules = _rules_for(cfg.channels_per_device, cfg.rows_per_bank,
-                       cfg.sb_slots, cfg.n_devices)
+    rules = _rules_for(*rule_numbers(cfg))
     object.__setattr__(cfg, "_isa_rules", rules)
     return rules
+
+
+def rule_numbers(cfg: ArchConfig) -> tuple[int, int, int, int]:
+    """The config numbers the operand rules are built from (the
+    arguments of `_rules_for`)."""
+    return (cfg.channels_per_device, cfg.rows_per_bank, cfg.sb_slots,
+            cfg.n_devices)
 
 
 @functools.lru_cache(maxsize=64)

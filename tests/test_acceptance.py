@@ -273,12 +273,18 @@ def test_device_sweep_shape_and_ratio():
     context, prefill, decode, gap = 2048, 512, 1536, 512
     points = [16, 28, 32, 40, 44, 80, 128]
     tokens_per_s = {}
+    # one cache as in a sweep: the PP+DP fleets (80 and 128 devices)
+    # reuse the 16-device plan's block segments
+    segment_cache = {}
     for n in points:
         plan = mapper.plan_scaled(LLAMA_70B, ARCH, n, context=context)
+        layout = compiler.build_layout(LLAMA_70B, plan, ARCH, segment_cache)
         rep = timesim.simulate_system(LLAMA_70B, plan, ARCH,
                                       prefill_tokens=prefill,
-                                      decode_tokens=decode, seq_gap=gap)
+                                      decode_tokens=decode, seq_gap=gap,
+                                      layout=layout)
         tokens_per_s[n] = rep.tokens_per_s
+    assert len(segment_cache) == 1
     seq = [tokens_per_s[n] for n in points]
     assert all(a <= b + 1e-9 for a, b in zip(seq, seq[1:]))
     # adding devices 41..44 only grows the idle pool: exactly flat
@@ -297,6 +303,10 @@ def test_sweep_bytes_identical_across_1_4_and_16_workers(tmp_path):
          "seq_gap": 1},
         {"model": "toy", "context": 64, "prefill": 8, "decode": 16,
          "seq_gap": 1},
+        # one worker lowers the 16-device row's block class for both
+        # 70B rows; several workers may lower it once each
+        {"model": "llama2_70b", "strategy": "scaled", "devices": 16,
+         "context": 2048, "prefill": 512, "decode": 1536, "seq_gap": 1024},
         {"model": "llama2_70b", "strategy": "scaled", "devices": 32,
          "context": 2048, "prefill": 512, "decode": 1536, "seq_gap": 1024},
     ]

@@ -445,6 +445,59 @@ def test_sweep_output_is_identical_across_worker_counts(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records how many workers a
+    sweep asks for and runs its rows in this process, as one worker."""
+
+    def __init__(self, made, max_workers, initializer):
+        made.append(max_workers)
+        initializer()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def _record_pools(monkeypatch) -> list:
+    made = []
+    monkeypatch.setattr(
+        cli, "ProcessPoolExecutor",
+        lambda max_workers, initializer: _InlinePool(made, max_workers,
+                                                     initializer))
+    return made
+
+
+@pytest.mark.parametrize("workers, pools", [(16, [3]), (2, [2]), (1, [])])
+def test_sweep_starts_no_more_workers_than_rows(workers, pools, tmp_path,
+                                                monkeypatch):
+    made = _record_pools(monkeypatch)
+    spec = write_spec(tmp_path, [TOY_SPEC, {**TOY_SPEC, "decode": 12},
+                                 {**TOY_SPEC, "prefill": 8}])
+    out = tmp_path / "out.csv"
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(out),
+                     "--workers", str(workers)]) == 0
+    assert made == pools
+    assert len(read_rows(out)) == 3
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_sweep_rejects_workers_below_one(workers, tmp_path, monkeypatch,
+                                         capsys):
+    made = _record_pools(monkeypatch)
+    spec = write_spec(tmp_path, [TOY_SPEC, TOY_SPEC])
+    out = tmp_path / "out.csv"
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(out),
+                     "--workers", workers]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --workers must be positive, got {workers}\n")
+    assert made == [] and not out.exists()
+
+
 def test_sweep_rejects_non_list_spec(tmp_path, capsys):
     path = tmp_path / "specs.json"
     path.write_text(json.dumps({"model": "toy"}))

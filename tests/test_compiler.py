@@ -4,9 +4,9 @@ import pickle
 import pytest
 
 from cxlpim.config import (CONFIGS_DIR, LANE, ROW_SLOTS, WORD_B, ArchConfig,
-                           ModelSpec, load_config)
-from cxlpim.isa import IsaError, make_instruction, validate_trace
-from cxlpim.mapper import plan_hybrid, plan_pipeline, plan_tensor
+                           ModelSpec, apply_overrides, load_config)
+from cxlpim.isa import IsaError, make_instruction, rule_numbers, validate_trace
+from cxlpim.mapper import plan_hybrid, plan_pipeline, plan_scaled, plan_tensor
 from cxlpim import compiler
 from cxlpim.compiler import (
     CompileError, CountSink, GemvJob, ListSink, TensorPlacement,
@@ -717,7 +717,157 @@ def test_shared_device_pieces_equal_lowering_each_device(monkeypatch, pp):
                         _lower_each_device_alone)
     for layout, got in zip(cases, shared):
         layout.invariant_segments.clear()
+        layout.segment_cache.clear()
         assert got == [lowered(layout, pos) for pos in (0, 40)]
+
+
+# ---------------------------------------------------------------------------
+# position-invariant segments shared by the layouts of a sweep
+
+LLAMA_13B, _ = load_config(CONFIGS_DIR / "llama2_13b.json")
+
+
+def _class_dicts(classes) -> list:
+    return [{di: s.to_dict() for di, s in c.device_summaries.items()}
+            for c in classes]
+
+
+def _fresh_class_dicts(model, plan, arch, pos) -> list:
+    """The class summaries of a layout that lowers every segment itself."""
+    return _class_dicts(compiler.block_summaries(model, plan, arch, pos))
+
+
+SCAN = {
+    "toy-pp1": (TOY, lambda: plan_pipeline(TOY, ARCH, 64, n_devices=1)),
+    "toy-pp2": (TOY, lambda: plan_pipeline(TOY, ARCH, 64, n_devices=2)),
+    "7b-pp8": (LLAMA_7B,
+               lambda: plan_pipeline(LLAMA_7B, ARCH, 4096, n_devices=8)),
+    "7b-pp32": (LLAMA_7B, lambda: plan_pipeline(LLAMA_7B, ARCH, 4096)),
+    "7b-scaled64": (LLAMA_7B, lambda: plan_scaled(LLAMA_7B, ARCH, 64)),
+    "7b-tp2": (LLAMA_7B, lambda: plan_hybrid(LLAMA_7B, ARCH, tp=2, pp=16,
+                                             context=4096)),
+    "7b-tp4": (LLAMA_7B, lambda: plan_hybrid(LLAMA_7B, ARCH, tp=4, pp=8,
+                                             context=4096)),
+    "7b-tp8": (LLAMA_7B, lambda: plan_hybrid(LLAMA_7B, ARCH, tp=8, pp=4,
+                                             context=4096)),
+    "13b-tp2": (LLAMA_13B, lambda: plan_hybrid(LLAMA_13B, ARCH, tp=2, pp=10,
+                                               context=4096)),
+    "13b-tp8": (LLAMA_13B, lambda: plan_hybrid(LLAMA_13B, ARCH, tp=8, pp=4,
+                                               context=4096)),
+    "13b-pp20": (LLAMA_13B,
+                 lambda: plan_pipeline(LLAMA_13B, ARCH, 4096, n_devices=20)),
+    "13b-pp32": (LLAMA_13B, lambda: plan_pipeline(LLAMA_13B, ARCH, 4096)),
+    "70b-pp32": (LLAMA_70B, lambda: plan_pipeline(LLAMA_70B, ARCH, 4096)),
+    "70b-scaled16": (LLAMA_70B,
+                     lambda: plan_scaled(LLAMA_70B, ARCH, 16, context=2048)),
+    "70b-scaled32": (LLAMA_70B,
+                     lambda: plan_scaled(LLAMA_70B, ARCH, 32, context=2048)),
+    "70b-scaled80": (LLAMA_70B,
+                     lambda: plan_scaled(LLAMA_70B, ARCH, 80, context=2048)),
+    "70b-scaled128": (LLAMA_70B, lambda: plan_scaled(LLAMA_70B, ARCH, 128,
+                                                     context=2048)),
+    "70b-tp2": (LLAMA_70B, lambda: plan_hybrid(LLAMA_70B, ARCH, tp=2, pp=16,
+                                               context=4096)),
+    "70b-tp4": (LLAMA_70B, lambda: plan_hybrid(LLAMA_70B, ARCH, tp=4, pp=8,
+                                               context=4096)),
+    "70b-tp8": (LLAMA_70B, lambda: plan_hybrid(LLAMA_70B, ARCH, tp=8, pp=4,
+                                               context=4096)),
+    "70b-tp": (LLAMA_70B, lambda: plan_tensor(LLAMA_70B, ARCH, 4096)),
+}
+
+
+def test_shared_segment_cache_equals_lowering_each_layout():
+    # plans of one model whose classes share a block geometry share the
+    # cached segments; every class still equals a fresh lowering
+    cache, first_user = {}, {}
+    for i, (name, (model, plan_of)) in enumerate(SCAN.items()):
+        plan, pos = plan_of(), 7 * i % 64
+        layout = build_layout(model, plan, ARCH, cache)
+        classes = compiler.block_summaries(model, plan, ARCH, pos, layout)
+        assert _class_dicts(classes) == _fresh_class_dicts(
+            model, plan, ARCH, pos), name
+        for segments in layout.invariant_segments.values():
+            first_user.setdefault(id(segments), name)
+    # the plans that lowered segments: every other 70B pipeline plan,
+    # PP+DP fleets included, reuses the 32-device plan's one geometry,
+    # and toy over two devices reuses toy over one
+    lowering = set(first_user.values())
+    assert len(first_user) == len(cache)
+    assert lowering.isdisjoint({"toy-pp2", "70b-scaled16", "70b-scaled32",
+                                "70b-scaled80", "70b-scaled128"})
+    assert {"toy-pp1", "70b-pp32", "70b-tp"} <= lowering
+
+
+def _numeric_fields(obj, prefix=""):
+    """(dotted path, value) of every int or float field of a config
+    tree, nested sections included."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _numeric_fields(value, f"{prefix}{f.name}.")
+        elif type(value) in (int, float):
+            yield f"{prefix}{f.name}", value
+
+
+def test_segment_cache_key_holds_exactly_the_arch_numbers_lowering_reads():
+    # an arch that differs in a number the lowering reads must miss the
+    # cache; one that differs in a timing, CXL, energy, cost or clock
+    # number must hit it, and either way the summaries are the fresh
+    # lowering's
+    plan = plan_hybrid(TP4, ARCH, tp=4, pp=2, context=64)
+    cache = {}
+    compiler.block_summaries(TP4, plan, ARCH, 5,
+                             build_layout(TP4, plan, ARCH, cache))
+    fields = dict(_numeric_fields(ARCH))
+    assert {"timing.tCL_ns", "cxl.base_latency_ns", "energy.p_host_W",
+            "cost.production_volume", "bank_capacity_B"} <= fields.keys()
+    for path, value in fields.items():
+        new = value * 2 if type(value) is int else value * 1.25
+        arch = apply_overrides(ARCH, {path: new})
+        plan = plan_hybrid(TP4, arch, tp=4, pp=2, context=64)
+        before = len(cache)
+        got = compiler.block_summaries(TP4, plan, arch, 5,
+                                       build_layout(TP4, plan, arch, cache))
+        hit = len(cache) == before
+        assert hit == (rule_numbers(arch) == rule_numbers(ARCH)), path
+        assert _class_dicts(got) == _fresh_class_dicts(TP4, plan, arch,
+                                                       5), path
+
+
+def _fourth_base_row(layout):
+    bl = layout.blocks[0]
+    fourth = bl.tp_group[3]
+    pl = bl.placements["gate"]
+    pl[fourth] = dataclasses.replace(pl[fourth],
+                                     base_row=pl[fourth].base_row + 1)
+    return layout
+
+
+def _kv_base_rows(layout):
+    kv = layout.blocks[0].kv[0]
+    kv.k_base_row += 1
+    kv.v_base_row += 1
+    return layout
+
+
+@pytest.mark.parametrize("perturb", [
+    lambda layout: _perturbed_tp4_layout(layout.plan),
+    _fourth_base_row,
+    _kv_base_rows,
+], ids=["perturbed-tp4", "base-row", "kv"])
+def test_segment_cache_misses_a_perturbed_block(perturb):
+    plan = plan_hybrid(TP4, ARCH, tp=4, pp=1, context=64)
+    cache = {}
+    compiler.block_summaries(TP4, plan, ARCH, 5,
+                             build_layout(TP4, plan, ARCH, cache))
+    layout = perturb(build_layout(TP4, plan, ARCH))
+    layout.segment_cache = cache
+    got = _class_dicts(compiler.block_summaries(TP4, plan, ARCH, 5, layout))
+    assert len(cache) == 2
+    layout.invariant_segments.clear()
+    layout.segment_cache = {}
+    assert got == _class_dicts(compiler.block_summaries(TP4, plan, ARCH, 5,
+                                                        layout))
 
 
 def test_unknown_riscv_routine_rejected():
