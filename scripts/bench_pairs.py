@@ -19,9 +19,11 @@ of both sides and the number of pairs the change wins (by the metric's
 and failed ops and metrics; and the sha256 lines each run printed,
 with whether parent and change printed the same ones in every pair. For
 `--trace 1` runs it also records, per run, the worst share of a traced
-pass's wall time that no named layer covers (the self time of the root
-span `bench.pass`); perfbench marks a run incorrect once named layers
-miss more than 3% of a pass.
+pass's wall time in the self time of the root span `bench.pass`, and
+the worst share that perfbench checks: the pass's `wall_s` less the
+self time of every other span and of the timed leaves, as
+`perfbench/run.py` (`_per_layer`) computes it. perfbench marks a run
+incorrect once that share exceeds 3% in one pass.
 
 An existing output file is updated: only the keys of this `--trace`
 mode are replaced, so trace 0 and trace 1 runs can share one file. The
@@ -87,12 +89,18 @@ def _revision(root: Path) -> str:
     return lines[1]
 
 
-def _worst_unattributed(trace_path: Path) -> float:
+def _worst_shares(trace_path: Path) -> tuple[float, float]:
     """Largest share of a traced pass's wall time in `bench.pass` self
-    time."""
-    passes = json.loads(trace_path.read_text())["passes"]
-    return max(sum(s["self"] for s in p["spans"] if s["name"] == PASS_SPAN)
-               / p["wall_s"] for p in passes)
+    time, and largest share not covered by the other spans' and the
+    timed leaves' self time (the one perfbench checks)."""
+    root, uncovered = [], []
+    for p in json.loads(trace_path.read_text())["passes"]:
+        named = sum(s["self"] for s in p["spans"] if s["name"] != PASS_SPAN)
+        named += sum(leaf["seconds"] for leaf in p["leaves"].values())
+        root.append(sum(s["self"] for s in p["spans"]
+                        if s["name"] == PASS_SPAN) / p["wall_s"])
+        uncovered.append(abs(p["wall_s"] - named) / p["wall_s"])
+    return max(root), max(uncovered)
 
 
 def _run(root: Path, workload: str, seed: int, trace: int,
@@ -109,7 +117,8 @@ def _run(root: Path, workload: str, seed: int, trace: int,
     run["digests"] = sorted(" ".join(line.split()[1:]) for line in lines
                             if line.lstrip().startswith("sha256 "))
     if trace:
-        run["worst_unattributed_share"] = _worst_unattributed(
+        (run["worst_unattributed_share"],
+         run["worst_uncovered_share"]) = _worst_shares(
             root / ".bench_build" / "perfbench"
             / f"{workload}-seed{seed}-trace.json")
     return run
@@ -144,10 +153,10 @@ def _summary(pairs: list, better: dict) -> dict:
     out["digests"] = pairs[0]["change"]["digests"]
     out["digests_identical"] = all(
         p["parent"]["digests"] == p["change"]["digests"] for p in pairs)
-    if "worst_unattributed_share" in pairs[0]["change"]:
-        out["worst_unattributed_share"] = {
-            side: max(p[side]["worst_unattributed_share"] for p in pairs)
-            for side in ("parent", "change")}
+    for share in ("worst_unattributed_share", "worst_uncovered_share"):
+        if share in pairs[0]["change"]:
+            out[share] = {side: max(p[side][share] for p in pairs)
+                          for side in ("parent", "change")}
     return out
 
 
@@ -201,10 +210,12 @@ def main(argv=None) -> int:
         print(f"{w}: correct parent {s['correct']['parent']}, change "
               f"{s['correct']['change']}; digests identical "
               f"{s['digests_identical']}")
-        if "worst_unattributed_share" in s:
-            print(f"  worst unattributed share of a traced pass: parent "
-                  f"{s['worst_unattributed_share']['parent']:.2%}, change "
-                  f"{s['worst_unattributed_share']['change']:.2%}")
+        for share, what in (("worst_unattributed_share", "root self time"),
+                            ("worst_uncovered_share", "share checked")):
+            if share in s:
+                print(f"  worst {what} of a traced pass: parent "
+                      f"{s[share]['parent']:.2%}, change "
+                      f"{s[share]['change']:.2%}")
         for metric in better:
             m = s[metric]
             print(f"  {metric:32s} parent {m['parent_median']:.6g} "

@@ -20,15 +20,21 @@ pipeline replicas, context 2048) and on llama2-70B hybrid tp4 x pp8
 llama2-70B scaled rows over 16 and 32 devices (context 2048, one
 position each) share one lowering of their block class.
 Each runs in this process through `cli.main`, against the `src/` next
-to this script, so two checkouts can be compared line by line:
+to this script. `compile --out` writes only summaries, so the script
+also hashes the list-mode instruction streams of `compiler.compile_token`
+(every device's opcodes, operands and flags, annotations and RISC-V
+routine table) on toy over 1 and 2 devices at positions 0 and 63 and on
+mid at positions 0, 511 and 2047. Two checkouts can be compared line
+by line:
 
     python3 scripts/output_digests.py OUT_A > a.txt   # in checkout A
     python3 scripts/output_digests.py OUT_B > b.txt   # in checkout B
     diff a.txt b.txt
 
 Each line is `sha256  path`, with the path relative to the output
-directory. What the runs print, and the seconds each took, go to
-stderr.
+directory, or `sha256  stream/MODEL-DEVICES@POSITION` for a list-mode
+stream, which writes no file. What the runs print, and the seconds
+each took, go to stderr.
 """
 
 import argparse
@@ -41,7 +47,8 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cxlpim import cli  # noqa: E402
+from cxlpim import cli, compiler, mapper  # noqa: E402
+from cxlpim.config import CONFIGS_DIR, load_config  # noqa: E402
 
 SIMULATE = {
     "pp70b": ["--model", "llama2_70b", "--strategy", "pp",
@@ -99,6 +106,22 @@ SWEEP = [
      "context": 2048, "prefill": 0, "decode": 2048, "seq_gap": 2048},
 ]
 
+# compile_token's list-mode streams: model, pipeline devices, positions
+STREAMS = [("toy", 1, (0, 63)), ("toy", 2, (0, 63)),
+           ("mid", 1, (0, 511, 2047))]
+
+
+def _stream_digest(traces) -> str:
+    h = hashlib.sha256()
+    for t in traces:
+        h.update(f"device {t.device}\n".encode())
+        for inst in t.instructions:
+            h.update(f"{inst.opcode} {inst.operands} {inst.source_select} "
+                     f"{inst.copy_bank} {inst.red_mode}\n".encode())
+        h.update(f"annotations {t.annotations}\n"
+                 f"routines {sorted(t.routines.items())}\n".encode())
+    return h.hexdigest()
+
 
 def _run(argv: list) -> None:
     t = perf_counter()
@@ -136,6 +159,18 @@ def main(argv=None) -> int:
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(out).as_posix()}")
+    for name, devices, positions in STREAMS:
+        model, arch = load_config(CONFIGS_DIR / f"{name}.json")
+        plan = mapper.plan_pipeline(model, arch, model.max_context,
+                                    n_devices=devices)
+        layout = compiler.build_layout(model, plan, arch)
+        for pos in positions:
+            t = perf_counter()
+            digest = _stream_digest(compiler.compile_token(model, plan, pos,
+                                                           layout=layout))
+            print(f"stream {name}-{devices}@{pos}: "
+                  f"{perf_counter() - t:.2f} s", file=sys.stderr)
+            print(f"{digest}  stream/{name}-{devices}@{pos}")
     return 0
 
 

@@ -27,7 +27,8 @@ from pathlib import Path
 
 from . import compiler, energycost, isa, mapper, timesim
 from .config import (CONFIGS_DIR, WORD_B, ArchConfig, ConfigError, ModelSpec,
-                     apply_overrides, build, load_config, load_json, typed)
+                     apply_overrides, build, load_config, load_json, typed,
+                     write_output)
 
 CSV_COLUMNS = ["model", "n_devices", "strategy", "tp", "pp", "dp", "batch",
                "prefill_ms", "decode_ms_per_token", "tokens_per_s",
@@ -288,7 +289,7 @@ def _cmd_compile(args) -> int:
         })
     handoff_B = (len(compiler.handoffs(layout))
                  * compiler.slots_of(model.d_model) * WORD_B)
-    (out / "trace_summary.json").write_text(json.dumps({
+    write_output(out / "trace_summary.json", json.dumps({
         "model": model.name,
         "strategy": plan.strategy,
         "token_pos": pos,
@@ -375,7 +376,7 @@ def _save_run_artifacts(out: Path, er, tco, ratios) -> None:
     out.mkdir(parents=True, exist_ok=True)
     er.save(out / "energy.json")
     tco.save(out / "tco.json")
-    (out / "ratios.json").write_text(json.dumps(ratios, indent=2) + "\n")
+    write_output(out / "ratios.json", json.dumps(ratios, indent=2) + "\n")
 
 
 def _gpu_reference(args, arch: ArchConfig) -> dict:

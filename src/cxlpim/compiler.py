@@ -59,6 +59,12 @@ llama2-70B TP block emits about 16k of the 260k instructions its 32
 devices count. A piece that emits RISCV (an attention body) is appended
 only to the device it was lowered for, because PCs index each device's
 own routine table.
+
+Inside a GEMV or the fused gate/up pass, the channels whose register
+batch holds the same local row groups run the same WR_BIAS/MAC_ABK
+sequence on each input tile but for the channel they name. Each such
+class's run is lowered once into a segment and appended to the class's
+other channels with the channel renamed (`append`'s `chan_map`).
 """
 
 from __future__ import annotations
@@ -493,25 +499,38 @@ class CountSink:
             st = self.summary.channels[ch] = ChannelStats()
         return st
 
-    def append(self, seg: "CountSink") -> None:
+    def append(self, seg: "CountSink",
+               chan_map: Optional[dict] = None) -> None:
         """Count the unfinished sink `seg` as if its instructions had
         been emitted here after this sink's own. Its first bracket on a
         channel continues this sink's open bracket when both hold the
-        same row, and closes it otherwise. `seg` is left unchanged."""
+        same row, and closes it otherwise. `seg` is left unchanged.
+
+        `chan_map` (segment channel -> channel here) renames a segment
+        whose every instruction names one channel, by CHmask, to the
+        stream of the same instructions on the mapped channels. Their
+        other operands were checked when `seg` was lowered, so only each
+        target channel is checked, with the error its first instruction
+        would raise."""
+        if chan_map and seg.summary.instructions:
+            first = next(iter(seg.summary.instructions))
+            for dst in chan_map.values():
+                isa.check_mask(first, 1 << dst, self.cfg)
         for ch, head in seg._first.items():
-            cur = self._open.get(ch)
+            ch_here = chan_map[ch] if chan_map else ch
+            cur = self._open.get(ch_here)
             if cur is None:
-                cur = self._open[ch] = self._first[ch] = list(head)
+                cur = self._open[ch_here] = self._first[ch_here] = list(head)
             elif cur[0] == head[0]:
                 cur[1] += head[1]
             else:
-                self._close(ch, cur)
-                cur = self._open[ch] = list(head)
+                self._close(ch_here, cur)
+                cur = self._open[ch_here] = list(head)
             last = seg._open[ch]
             if last is not head:
-                self._close(ch, cur)
-                self._open[ch] = list(last)
-        self.summary.merge(seg.summary)
+                self._close(ch_here, cur)
+                self._open[ch_here] = list(last)
+        self.summary.merge(seg.summary, chan_map=chan_map)
 
     def _close(self, ch: int, bracket: list) -> None:
         # the first bracket stays open: an earlier segment may continue it
@@ -555,12 +574,25 @@ class ListSink(CountSink):
         self._count(opcode, inst.operands, riscv_kind)
         self.instructions.append(inst)
 
-    def append(self, seg: "ListSink") -> None:
-        """As `CountSink.append`, and the segment's instructions (the
-        same frozen objects) follow this sink's own. Segments open no
-        operators, so there are no annotations to carry over."""
-        super().append(seg)
-        self.instructions.extend(seg.instructions)
+    def append(self, seg: "ListSink",
+               chan_map: Optional[dict] = None) -> None:
+        """As `CountSink.append`, and the segment's instructions follow
+        this sink's own: the same frozen objects, or, with `chan_map`,
+        each rebuilt by `make_instruction` on its mapped channel.
+        Segments open no operators, so there are no annotations to carry
+        over."""
+        super().append(seg, chan_map)
+        if not chan_map:
+            self.instructions.extend(seg.instructions)
+            return
+        for inst in seg.instructions:
+            ops = list(inst.operands)
+            mask_i = _COUNT_PLAN[inst.opcode][4]
+            ops[mask_i] = 1 << chan_map[ops[mask_i].bit_length() - 1]
+            self.instructions.append(make_instruction(
+                inst.opcode, *ops, source_select=inst.source_select,
+                copy_bank=inst.copy_bank, red_mode=inst.red_mode,
+                cfg=self.cfg))
 
 
 @dataclass
@@ -853,6 +885,23 @@ def _sbk_run(sink: CountSink, op: str, ch: int, bank: int, row: int,
         slot += w
 
 
+def _class_runs(sink: CountSink, live: list, classes: dict, lower) -> None:
+    """Emit `lower(seg, c)`, one channel's run, for every channel c of
+    `live` in order. Channels with one `classes[c]` run alike but for
+    their channel, so each class is lowered once, into a segment on its
+    first channel, and appended renamed to the others."""
+    first: dict = {}                 # class -> (channel, segment)
+    for c in live:
+        hit = first.get(classes[c])
+        if hit is None:
+            seg = sink.segment()
+            lower(seg, c)
+            first[classes[c]] = c, seg
+            sink.append(seg)
+        else:
+            sink.append(hit[1], {hit[0]: c})
+
+
 @dataclass
 class GemvJob:
     placement: TensorPlacement
@@ -885,6 +934,11 @@ def emit_gemv(sink: CountSink, jobs: list[GemvJob], vec_src: tuple,
         batch = {c: per_ch[c][b * REGS:(b + 1) * REGS] for c in channels}
         live = [c for c in channels if batch[c]]
         mask = _chmask(live)
+        # a group's local index j // len(channels) names its row and
+        # column on every channel: channels whose batches hold one
+        # sequence of them run alike
+        classes = {c: tuple((id(job), j // len(channels))
+                            for job, j in batch[c]) for c in live}
         for t, s in enumerate(tiles):
             if vec_src[0] == "SB":
                 reps = max(job.placement.loc(j, t)[1] // s
@@ -897,12 +951,14 @@ def emit_gemv(sink: CountSink, jobs: list[GemvJob], vec_src: tuple,
                     raise CompileError("bank-streamed input cannot feed "
                                        "packed matrix rows")
                 sink.i("COPY_BKGB", mask, s, vec_src[1] + t, 0)
-            for c in live:
+
+            def run(seg, c, t=t, s=s):
                 for idx, (job, j) in enumerate(batch[c]):
                     row, co, _ = job.placement.loc(j, t)
                     if t == 0:
-                        sink.i("WR_BIAS", 1 << c, sb_zero)
-                    sink.i("MAC_ABK", 1 << c, s, row, co, idx)
+                        seg.i("WR_BIAS", 1 << c, sb_zero)
+                    seg.i("MAC_ABK", 1 << c, s, row, co, idx)
+            _class_runs(sink, live, classes, run)
         for c in live:
             for idx, (job, j) in enumerate(batch[c]):
                 sink.i("RD_MAC", 1 << c, job.out_base + j, idx)
@@ -1301,22 +1357,27 @@ class BlockLowering:
                      for c in gate.channels}
             live = [c for c in gate.channels if batch[c]]
             mask = _chmask(live)
+            # a channel's k-th pair in a round is its k-th local group
+            # of both matrices, so channels with as many pairs run alike
+            classes = {c: len(batch[c]) for c in live}
             for t, s in enumerate(tiles):
                 reps = 1 + max(
                     max(gate.loc(gj, t)[1], up.loc(uj, t)[1]) // s
                     for c in live for gj, uj in batch[c])
                 for r in range(reps):
                     sink.i("WR_GB", mask, s, r * s, sb.rms + t * ROW_SLOTS)
-                for c in live:
+
+                def run(seg, c, t=t, s=s):
                     for i, (gj, uj) in enumerate(batch[c]):
                         grow, gco, _ = gate.loc(gj, t)
                         urow, uco, _ = up.loc(uj, t)
                         if t == 0:
-                            sink.i("WR_BIAS", 1 << c, sb.zero)
-                        sink.i("MAC_ABK", 1 << c, s, grow, gco, i)
+                            seg.i("WR_BIAS", 1 << c, sb.zero)
+                        seg.i("MAC_ABK", 1 << c, s, grow, gco, i)
                         if t == 0:
-                            sink.i("WR_BIAS", 1 << c, sb.zero)
-                        sink.i("MAC_ABK", 1 << c, s, urow, uco, half + i)
+                            seg.i("WR_BIAS", 1 << c, sb.zero)
+                        seg.i("MAC_ABK", 1 << c, s, urow, uco, half + i)
+                _class_runs(sink, live, classes, run)
             for c in live:
                 n = len(batch[c])
                 for i in range(n):

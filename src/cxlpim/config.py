@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
 import sys
 import types
 import typing
@@ -68,6 +69,24 @@ def load_json(text: str, where) -> Any:
                           f"{sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
         raise ConfigError(f"{where}: nested too deeply") from None
+
+
+def write_output(path, text: str) -> None:
+    """Write `text` to the file `path`, as `Path.write_text` does, the
+    one writer of the program's output files. An existing file is
+    overwritten in place and then cut to length, not truncated first:
+    on ext4, closing a file that was truncated to zero and written
+    again starts its flush to disk (auto_da_alloc), which made each
+    write of a report about 0.4 ms instead of 0.04 ms."""
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def check_numbers(obj, positive: bool, but: tuple = ()) -> None:

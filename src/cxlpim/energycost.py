@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .config import (BANKS, PARAMS_DIR, ArchConfig, CostParams, EnergyParams,
-                     GpuReference, build, load_json)
+                     GpuReference, build, load_json, write_output)
 
 
 class EnergyError(ValueError):
@@ -100,7 +100,7 @@ class EnergyReport:
         }
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        write_output(path, json.dumps(self.to_dict(), indent=2) + "\n")
 
 
 def ctrl_static_W_per_device(e: EnergyParams, arch: ArchConfig) -> float:
@@ -282,7 +282,7 @@ class TcoReport:
         return asdict(self)
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        write_output(path, json.dumps(self.to_dict(), indent=2) + "\n")
 
 
 def tco_report(c: CostParams, fleet_avg_W: float, tokens_per_s: float,

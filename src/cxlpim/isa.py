@@ -232,6 +232,11 @@ def _rules_for(chans: int, rows_per_bank: int, sb_slots: int,
     return {op: _Rule(*tables[op], accepts[op]) for op in tables}
 
 
+def _out_of_range(opcode: str, name: str, value: int, lo: int,
+                  hi: int) -> str:
+    return f"{opcode}: operand {name}={value} out of range [{lo}, {hi})"
+
+
 def _first_broken_rule(opcode: str, operands: tuple, source_select: str,
                        red_mode: str, cfg: Optional[ArchConfig]
                        ) -> Optional[str]:
@@ -246,7 +251,7 @@ def _first_broken_rule(opcode: str, operands: tuple, source_select: str,
                 f"({' '.join(fields)}), got {len(operands)}")
     for (name, lo, hi), value in zip(rule.bounds, operands):
         if not lo <= value < hi:
-            return f"{opcode}: operand {name}={value} out of range [{lo}, {hi})"
+            return _out_of_range(opcode, name, value, lo, hi)
     for base, size, limit, message in rule.extents:
         if operands[base] + operands[size] > limit:
             return message.format(operands[base], operands[size])
@@ -276,6 +281,17 @@ def check_operands(opcode: str, operands: tuple, *, source_select: str = "GB",
                                  cfg)
     if message is not None:
         raise IsaError(message)
+
+
+def check_mask(opcode: str, mask: int,
+               cfg: Optional[ArchConfig] = None) -> None:
+    """Raise the IsaError that `check_operands` raises for an `opcode`
+    whose other operands are valid and whose CHmask is `mask`, if that
+    mask is out of range."""
+    rule = _operand_rules(cfg)[opcode]
+    name, lo, hi = rule.bounds[FIELD_INDEX[opcode]["CHmask"]]
+    if not lo <= mask < hi:
+        raise IsaError(_out_of_range(opcode, name, mask, lo, hi))
 
 
 def make_instruction(opcode: str, *operands: int, source_select: str = "GB",

@@ -21,10 +21,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
-from pathlib import Path
 from typing import Optional
 
-from .config import ArchConfig, ModelSpec, block_footprint
+from .config import ArchConfig, ModelSpec, block_footprint, write_output
 
 
 class MappingError(ValueError):
@@ -66,8 +65,8 @@ class MappingPlan:
         return asdict(self)
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1,
-                                         sort_keys=True) + "\n")
+        write_output(path, json.dumps(self.to_dict(), indent=1,
+                                      sort_keys=True) + "\n")
 
 
 def _stages(strategy: str, model: ModelSpec, arch: ArchConfig, context: int,

@@ -21,12 +21,11 @@ overlapped with them.
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from . import compiler
 from .compiler import ChannelStats, TraceSummary
 from .config import (BANKS, LANE, WORD_B, ArchConfig, CxlParams, ModelSpec,
-                     TimingParams)
+                     TimingParams, write_output)
 from .isa import RV_ROUTINES
 from .mapper import MappingPlan
 
@@ -159,8 +158,44 @@ class SimReport:
         return dict(vars(self))
 
     def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n")
+        """Write `json.dumps(self.to_dict(), indent=1, sort_keys=True)`
+        and a newline. The same bytes are built field by field, so that
+        the per-channel table, most of a 70B report, goes through the C
+        encoder (which `indent` turns off) once per distinct device
+        table, with separators that lay its entries out as `indent`
+        would."""
+        fields = []
+        for name, value in sorted(self.to_dict().items()):
+            text = (_device_tables_json(value)
+                    if name == "channel_utilization" else
+                    json.dumps(value, indent=1, sort_keys=True
+                               ).replace("\n", "\n "))
+            fields.append(f" {json.dumps(name)}: {text}")
+        write_output(path, "{\n" + ",\n".join(fields) + "\n}\n")
+
+
+def _device_tables_json(tables: dict) -> str:
+    """{device: {channel: utilization}} as `json.dumps(indent=1,
+    sort_keys=True)` lays it out as the value of a top-level field.
+    Equal tables share one text: utilizations are busy times over the
+    step time, floats that are never -0.0, and equal floats other than
+    0.0 and -0.0 print alike."""
+    if not tables:
+        return "{}"
+    encoded: list = []               # (table, its text), distinct tables
+    entries = []
+    for dev in sorted(tables):
+        table = tables[dev]
+        for seen, text in encoded:
+            if seen == table:
+                break
+        else:
+            body = json.dumps(table, sort_keys=True,
+                              separators=(",\n   ", ": "))[1:-1]
+            text = f"{{\n   {body}\n  }}" if table else "{}"
+            encoded.append((table, text))
+        entries.append(f"{json.dumps(dev)}: {text}")
+    return "{\n  " + ",\n  ".join(entries) + "\n }"
 
 
 @dataclass

@@ -2,6 +2,7 @@ import dataclasses
 import pickle
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cxlpim.config import (CONFIGS_DIR, LANE, ROW_SLOTS, WORD_B, ArchConfig,
                            ModelSpec, apply_overrides, load_config)
@@ -14,7 +15,7 @@ from cxlpim.compiler import (
 )
 from cxlpim.timesim import _token_profile, simulate_system
 
-from lowering import lower
+from lowering import lower, plain_emit_gemv, plain_lower_gate_up
 
 ARCH = ArchConfig()
 
@@ -591,6 +592,138 @@ def test_append_leaves_segment_reusable():
             else:
                 _emit(sink, x)
         assert sink.finish().to_dict() == expected
+
+
+# ---------------------------------------------------------------------------
+# appending a segment with its channel renamed
+
+def _wr_bias(ch):
+    return make_instruction("WR_BIAS", 1 << ch, 0)
+
+
+def _run(ch, steps):
+    """One channel's run as the GEMV lowering emits it: per step an
+    optional WR_BIAS, then a MAC_ABK of `cols` columns of `row`."""
+    out = []
+    for bias, row, cols in steps:
+        if bias:
+            out.append(_wr_bias(ch))
+        out.append(_mac(ch, row, cols))
+    return out
+
+
+_CH, _ROW, _COLS = st.integers(0, 3), st.integers(5, 7), st.integers(1, 8)
+_MACS = st.lists(st.tuples(_CH, _ROW, _COLS), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(prefix=_MACS, steps=st.lists(st.tuples(st.booleans(), _ROW, _COLS),
+                                    max_size=5),
+       src=_CH, dst=_CH, suffix=_MACS)
+# the target's open bracket is continued across the rename
+@example(prefix=[(2, 5, 4)], steps=[(True, 5, 2), (False, 6, 1)], src=0,
+         dst=2, suffix=[(2, 6, 3)])
+# the target is open at another row; the source is open here too and
+# must stay as it is
+@example(prefix=[(0, 6, 4), (2, 7, 1)], steps=[(True, 5, 2), (True, 5, 2)],
+         src=0, dst=2, suffix=[(0, 6, 1), (2, 5, 1)])
+# a one-bracket run onto a channel this sink has not touched
+@example(prefix=[(1, 5, 1)], steps=[(False, 7, 8)], src=1, dst=3,
+         suffix=[(3, 7, 1)])
+def test_append_renamed_equals_emitting_the_renamed_run(prefix, steps, src,
+                                                       dst, suffix):
+    for cls in (CountSink, ListSink):
+        seg = cls(0, ARCH)
+        for inst in _run(src, steps):
+            _emit(seg, inst)
+        kept = (seg.summary.to_dict(), dict(seg._first), dict(seg._open))
+        direct, renamed = cls(0, ARCH), cls(0, ARCH)
+        for sink in (direct, renamed):
+            for ch, row, cols in prefix:
+                _emit(sink, _mac(ch, row, cols))
+        for inst in _run(dst, steps):
+            _emit(direct, inst)
+        renamed.append(seg, {src: dst})
+        assert (seg.summary.to_dict(), seg._first, seg._open) == kept
+        for sink in (direct, renamed):
+            for ch, row, cols in suffix:
+                _emit(sink, _mac(ch, row, cols))
+        # unfinished, the two are the same segment for a later append
+        assert renamed._first == direct._first, cls
+        assert renamed._open == direct._open, cls
+        if cls is ListSink:
+            assert renamed.instructions == direct.instructions
+        assert renamed.finish().to_dict() == direct.finish().to_dict(), cls
+
+
+@pytest.mark.parametrize("bad", [ARCH.channels_per_device, 40])
+@pytest.mark.parametrize("first", ["WR_BIAS", "MAC_ABK"])
+def test_renamed_append_rejects_a_target_as_emitting_on_it_would(first, bad):
+    run = [_wr_bias(1), _mac(1, 5, 4)]
+    if first == "MAC_ABK":
+        run.reverse()
+    for cls in (CountSink, ListSink):
+        seg = cls(0, ARCH)
+        for inst in run:
+            _emit(seg, inst)
+        with pytest.raises(IsaError) as emitted:
+            cls(0, ARCH).i(first, 1 << bad, *run[0].operands[1:])
+        sink = cls(0, ARCH)
+        _emit(sink, _mac(0, 5, 4))
+        before = sink.summary.to_dict()
+        with pytest.raises(IsaError) as appended:
+            sink.append(seg, {1: bad})
+        assert str(appended.value) == str(emitted.value), cls
+        assert str(emitted.value).startswith(f"{first}: operand CHmask=")
+        assert sink.summary.to_dict() == before, cls
+        assert sink._open == {0: [5, 4]}, cls
+        assert len(getattr(sink, "instructions", [None])) == 1, cls
+
+
+def _listed(traces) -> dict:
+    return {t.device: (t.instructions, t.annotations, t.routines,
+                       t.summary.to_dict()) for t in traces}
+
+
+def _per_channel_emitters(monkeypatch):
+    monkeypatch.setattr(compiler, "emit_gemv", plain_emit_gemv)
+    monkeypatch.setattr(compiler.BlockLowering, "_lower_gate_up",
+                        plain_lower_gate_up)
+
+
+MID, _ = load_config(CONFIGS_DIR / "mid.json")
+
+
+@pytest.mark.parametrize("model, plan_of, pos", [
+    # d_ff 688 is 43 row groups: ragged classes over 32 channels
+    (TOY, lambda: plan_pipeline(TOY, ARCH, 64, n_devices=1), 63),
+    (TOY, lambda: plan_pipeline(TOY, ARCH, 64, n_devices=2), 17),
+    (MID, lambda: plan_pipeline(MID, ARCH, 2048, n_devices=1), 1000),
+    (TP4, lambda: plan_hybrid(TP4, ARCH, tp=4, pp=1, context=64), 30),
+], ids=["toy-1", "toy-2", "mid", "tp4"])
+def test_class_lowering_lists_and_counts_the_per_channel_stream(
+        monkeypatch, model, plan_of, pos):
+    plan = plan_of()
+    got = (_listed(compile_token(model, plan, pos)),
+           _class_dicts(compiler.block_summaries(model, plan, ARCH, pos)))
+    _per_channel_emitters(monkeypatch)
+    assert got == (_listed(compile_token(model, plan, pos)),
+                   _class_dicts(compiler.block_summaries(model, plan, ARCH,
+                                                         pos)))
+
+
+def test_class_lowering_lists_the_per_channel_stream_of_a_70b_block(
+        monkeypatch):
+    plan = plan_pipeline(LLAMA_70B, ARCH, 4096)
+    layout = build_layout(LLAMA_70B, plan, ARCH)
+
+    def listed():
+        trace = lower(lambda low: (low.before_core(), low.after_core()),
+                      layout, block=1)
+        return trace.instructions, trace.annotations, trace.summary.to_dict()
+    got = listed()
+    _per_channel_emitters(monkeypatch)
+    assert got == listed()
 
 
 def _sequential_summaries(layout, bl, pos):

@@ -5,7 +5,7 @@ import pytest
 from cxlpim import cli
 from cxlpim.config import (
     LANE, ROW_SLOTS, WORD_B, ArchConfig, ConfigError, ModelSpec,
-    apply_overrides, block_footprint, build, load_config,
+    apply_overrides, block_footprint, build, load_config, write_output,
 )
 
 GB = 1024 ** 3
@@ -126,3 +126,17 @@ def test_apply_overrides_nested():
     assert arch.timing.tRP_ns == 16.0  # original untouched
     with pytest.raises(ConfigError, match="unknown config field"):
         apply_overrides(arch, {"bogus": "1"})
+
+
+def test_output_writer_writes_what_write_text_writes(tmp_path):
+    # a longer file, then a shorter one, over one path; and a new file
+    # gets write_text's permissions
+    ours, theirs = tmp_path / "ours.json", tmp_path / "theirs.json"
+    for text in ("{\n " + "1, " * 500 + "\n}\n", "{}\n", "", "[1]\n"):
+        write_output(ours, text)
+        theirs.write_text(text)
+        assert ours.read_bytes() == theirs.read_bytes() == text.encode()
+    assert ours.stat().st_mode == theirs.stat().st_mode
+    new = tmp_path / "new.json"
+    write_output(new, "{}\n")
+    assert new.stat().st_mode == theirs.stat().st_mode

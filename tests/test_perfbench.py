@@ -29,13 +29,40 @@ def test_perfbench_traced_pass_reports_every_per_layer_metric(workload):
     assert set(result["metrics"]) == {m["name"] for m in BENCH["per_layer"]}
 
 
-def test_bench_pairs_records_only_a_git_revision(tmp_path):
-    """bench_pairs.py records the parent's commit, so a parent that is
-    not the top of a git checkout ends the run with one error line."""
+def _bench_pairs():
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_records_the_share_perfbench_checks(tmp_path):
+    # pass 1 spends 0.01 s in the root span's own code and 0.07 s
+    # outside the root span; pass 2 0.02 s in the root span only
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"passes": [
+        {"wall_s": 1.0,
+         "spans": [{"name": "bench.pass", "self": 0.01},
+                   {"name": "compiler.block_summaries", "self": 0.6},
+                   {"name": "timesim.simulate_system", "self": 0.3}],
+         "leaves": {"timesim.channel_busy_ns": {"calls": 9,
+                                                "seconds": 0.02}},
+         "counts": {}},
+        {"wall_s": 0.5,
+         "spans": [{"name": "bench.pass", "self": 0.02},
+                   {"name": "compiler.block_summaries", "self": 0.48}],
+         "leaves": {}, "counts": {}},
+    ]}))
+    root, uncovered = _bench_pairs()._worst_shares(trace)
+    assert root == pytest.approx(0.04)
+    assert uncovered == pytest.approx(0.08)
+
+
+def test_bench_pairs_records_only_a_git_revision(tmp_path):
+    """bench_pairs.py records the parent's commit, so a parent that is
+    not the top of a git checkout ends the run with one error line."""
+    bench_pairs = _bench_pairs()
     plain = tmp_path / "copy"
     plain.mkdir()
     with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 
 import pytest
@@ -27,6 +28,8 @@ TP4 = ModelSpec(name="tp4", n_layers=2, d_model=256, n_heads=4,
 
 LLAMA_70B = ModelSpec(name="llama2-70b", n_layers=80, d_model=8192,
                       n_heads=64, n_kv_heads=8, d_head=128, d_ff=28672)
+LLAMA_7B, _ = load_config(CONFIGS_DIR / "llama2_7b.json")
+TOY, _ = load_config(CONFIGS_DIR / "toy.json")
 
 
 def compiled_gemv(rows, cols, channels=1):
@@ -245,6 +248,43 @@ def test_report_round_trips_to_json(tmp_path):
     assert d["command_counts"]["MACab"] == rep.command_counts["MACab"]
 
 
+@pytest.mark.parametrize("model, plan_of", [
+    (LLAMA_70B, lambda: mapper.plan_pipeline(LLAMA_70B, ARCH, 4096)),
+    (LLAMA_70B, lambda: mapper.plan_tensor(LLAMA_70B, ARCH, 4096)),
+    (LLAMA_70B, lambda: mapper.plan_hybrid(LLAMA_70B, ARCH, tp=4, pp=8,
+                                           context=4096)),
+    (LLAMA_70B, lambda: mapper.plan_scaled(LLAMA_70B, ARCH, 16,
+                                           context=2048)),
+    (LLAMA_7B, lambda: mapper.plan_pipeline(LLAMA_7B, ARCH, 4096,
+                                            n_devices=8)),
+    (TOY, lambda: mapper.plan_pipeline(TOY, ARCH, 64, n_devices=1)),
+], ids=["70b-pp", "70b-tp", "70b-hybrid", "70b-scaled16", "7b-pp8", "toy"])
+def test_report_saves_the_bytes_of_one_indented_dump(tmp_path, model,
+                                                     plan_of):
+    rep = simulate_system(model, plan_of(), ARCH, 0, 64, seq_gap=64)
+    _assert_saves_one_indented_dump(rep, tmp_path)
+
+
+def _assert_saves_one_indented_dump(rep, tmp_path):
+    out = tmp_path / "report.json"
+    rep.save(out)
+    assert out.read_bytes() == (json.dumps(rep.to_dict(), indent=1,
+                                           sort_keys=True) + "\n").encode()
+
+
+def test_report_saves_any_device_tables_as_one_indented_dump(tmp_path):
+    rep = tiny_pp_report()
+    tables = {str(d): {str(c): (d * 7 + c) / 64 for c in range(12)}
+              for d in range(11)}
+    tables["3"] = {}
+    rep.channel_utilization = tables
+    _assert_saves_one_indented_dump(rep, tmp_path)
+    rep.channel_utilization = {}
+    _assert_saves_one_indented_dump(rep, tmp_path)
+    rep.channel_utilization = {"1": {}, "0": {}}
+    _assert_saves_one_indented_dump(rep, tmp_path)
+
+
 def test_attention_growth_raises_latency():
     early = tiny_pp_report(prefill_tokens=0, decode_tokens=4)
     late = tiny_pp_report(prefill_tokens=40, decode_tokens=4)
@@ -436,7 +476,6 @@ def test_per_class_composition_equals_per_block_walk(model, arch, plan_of):
 # the CXL time _token_profile prices is the number of bytes it prices
 UNIT_CXL = CxlParams(link_bandwidth_Bps=1e9, link_efficiency=1.0,
                      base_latency_ns=0.0, multicast_bandwidth_factor=1.0)
-TOY = load_config(CONFIGS_DIR / "toy.json")[0]
 
 
 @pytest.mark.parametrize("model, n_devices, plan_of", [
